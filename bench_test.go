@@ -191,7 +191,11 @@ func BenchmarkExhaustiveConvolution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Exhaustive(m); err != nil {
+		s, err := core.NewSession(m, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), "exhaustive"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +239,11 @@ func BenchmarkTuneSmall(b *testing.B) {
 		opts := mltune.DefaultOptions(int64(i))
 		opts.TrainingSamples = 200
 		opts.SecondStage = 50
-		if _, err := mltune.Tune(m, opts); err != nil {
+		s, err := mltune.NewSession(m, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), "ml"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,10 +34,10 @@
 // -engine selects the read path's inference engine. The default float64
 // engine is the exact reference; -engine int16 serves batch predictions
 // through the quantised fixed-point engine, and -engine int8 through
-// the narrower 8-bit engine whose packed weights screen top-M sweeps
-// fastest (each within its proven error bound of the reference — see
-// the README's Engines section). Quantised engines screen top-M
-// sweeps only, so top-M answers stay identical to the reference.
+// the narrower 8-bit engine with packed weights (each within its
+// proven error bound of the reference — see the README's Engines
+// section). Both quantised engines screen top-M sweeps through the
+// int16 sweeper, so top-M answers stay identical to the reference.
 // Models a quantisation proof does not cover fall back to float64 per
 // model, counted in mltuned_engine_fallbacks_total; /v1/stats and
 // /v1/models report the engine in effect.
@@ -125,7 +125,7 @@ func main() {
 		roleFlag     = flag.String("role", "all", "plane to run: all (single node), train (writable source), serve (read-only replica)")
 		upstream     = flag.String("upstream", "", "train-plane base URL a serve replica pulls models from (requires -role serve)")
 		syncEvery    = flag.Duration("sync-interval", 5*time.Second, "replication poll interval when -upstream is set")
-		engine       = flag.String("engine", "", "read-path inference engine: float64 (exact reference, the default), int16 (quantised fixed point) or int8 (packed quantised, fastest top-M screening)")
+		engine       = flag.String("engine", "", "read-path inference engine: float64 (exact reference, the default), int16 (quantised fixed point) or int8 (packed 8-bit weights for batch predictions; top-M screens through int16)")
 		rpcAddr      = flag.String("rpc-addr", "", "binary RPC listen address for the hot read path (empty = HTTP only)")
 		shardSpec    = flag.String("shard", "", "serve as shard i of n over the benchmark@device keyspace (format i/n; empty = own every key)")
 		peers        = flag.String("peers", "", "comma-separated shard-ordered HTTP base URLs of the fleet (fills not_owner redirects)")

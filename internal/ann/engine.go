@@ -61,32 +61,10 @@ type Engine interface {
 	ErrorBound() float64
 }
 
-// IndexSweeper walks an index-addressed configuration space in order,
-// producing conservative bounds on the reference prediction for each
-// flat index. It is the engine-side contract behind the cache-blocked
-// top-M sweep: the core sweep asks for [start, start+n) and the engine
-// keeps whatever prefix rows it needs resident between calls.
-type IndexSweeper interface {
-	// Size returns the total number of configurations in the space.
-	Size() int64
-	// Bounds fills lb[:n], ub[:n] with reference-prediction brackets for
-	// flat indices start..start+n-1. Calls may jump: the sweeper reseeks
-	// when start is not the next index.
-	Bounds(start int64, n int, lb, ub []float64)
-	// BoundsCeil is Bounds with a pruning ceiling: entries whose lower
-	// bound provably exceeds ceil may be reported as +Inf in both lb and
-	// ub instead of being computed, letting the sweeper skip whole
-	// subtrees of the space. A +Inf ceiling degrades to Bounds. Callers
-	// screening against a threshold at or below ceil treat +Inf as
-	// "cannot enter the result" — sound because a skipped entry's true
-	// lower bound exceeds ceil.
-	BoundsCeil(start int64, n int, lb, ub []float64, ceil float64)
-}
-
 // Q14Engine is the optional fast-path contract of engines that consume
 // pre-quantised Q14 inputs directly (today the int16 and int8 engines).
-// It lets the core layer feed index-direct encoded integers — skipping
-// the float materialisation entirely — and drive a full-space sweep.
+// It lets the core layer feed index-direct encoded integers, skipping
+// the float materialisation entirely.
 type Q14Engine interface {
 	Engine
 	// InputDim returns the input width the engine was built for.
@@ -95,10 +73,6 @@ type Q14Engine interface {
 	PredictBatchQ14(qxs []int16, count int, s EngineScratch, dst []float64)
 	// PredictBatchBoundsQ14 is PredictBatchBounds over Q14 inputs.
 	PredictBatchBoundsQ14(qxs []int16, count int, s EngineScratch, lb, ub []float64)
-	// NewIndexSweeper builds a sweeper over the space spanned by the Q14
-	// level tables (one per parameter, last parameter fastest) with the
-	// fixed Q14 tail appended to every configuration.
-	NewIndexSweeper(levels [][]int16, tail []int16) (IndexSweeper, error)
 }
 
 // NewEngine builds the named engine over e. The quantised engines can

@@ -368,11 +368,6 @@ func (q *QuantizedEnsemble) PredictBatchBoundsQ14(qxs []int16, count int, s Engi
 	}
 }
 
-// NewIndexSweeper implements Q14Engine over the concrete NewSweeper.
-func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (IndexSweeper, error) {
-	return q.NewSweeper(levels, tail)
-}
-
 // forwardMember runs one member over the block, accumulating its raw
 // output into sum. cur/nxt ping-pong through the scratch int16 buffers;
 // the integer accumulation is exact at scale 2^(k+qFrac).

@@ -45,11 +45,11 @@ import (
 //
 // The ensemble mean's error is at most the worst member's; a 1e-9
 // absolute slack absorbs the reference path's own float64 rounding
-// versus real arithmetic. The resulting bound is what the top-M sweep
-// screens with; it is wider than int16's, so the sweep re-screens int8
-// survivors through the int16 bound before paying for exact scores
-// (see core.topMSweep) — both brackets contain the reference, so the
-// cascade prunes soundly.
+// versus real arithmetic. The resulting bound is what PredictBatchBounds
+// brackets with. It is an order of magnitude wider than int16's, too
+// wide to prune a trained model's space, so no top-M sweep screens with
+// it: a model viewed on the int8 engine screens through the int16
+// engine over the same weights (see core.Model.WithEngine).
 
 const (
 	// q8Max is the int8 weight magnitude cap (Q7: 7 value bits).
@@ -360,11 +360,6 @@ func (q *Quantized8Ensemble) PredictBatchBoundsQ14(qxs []int16, count int, s Eng
 		lb[b] = v - q.bound
 		ub[b] = v + q.bound
 	}
-}
-
-// NewIndexSweeper implements Q14Engine over the int8 sweeper.
-func (q *Quantized8Ensemble) NewIndexSweeper(levels [][]int16, tail []int16) (IndexSweeper, error) {
-	return q.NewSweeper8(levels, tail)
 }
 
 // forwardMember runs one member over the block, accumulating its raw

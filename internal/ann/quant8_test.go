@@ -10,8 +10,8 @@ import (
 // TestInt8EngineBoundIsTight sanity-checks the residual-based proof is
 // not vacuous: eight-bit weights are coarse, but for the paper-shaped
 // trained model the measured-residual bound must stay well under the
-// target scaler's std — wide enough to need the int16 re-screen in the
-// sweep cascade, narrow enough that screening still prunes.
+// target scaler's std, and wider than int16's (which is why the top-M
+// sweep screens int8 views through int16).
 func TestInt8EngineBoundIsTight(t *testing.T) {
 	ecs := engineCases(t)
 	trained := ecs[len(ecs)-1].e
@@ -163,4 +163,59 @@ func FuzzInt8WithinBound(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestInt8AdmissibleImpliesInt16 pins the admissibility rule the top-M
+// screen relies on: an int8 view screens through the int16 engine over
+// the same weights, so wherever Quantize8Ensemble accepts a network,
+// QuantizeEnsemble must accept it too. int8 refuses a connection weight
+// of magnitude ≥ 8160 (127.5 at the coarsest row scale 2^-6), int16 one
+// above 32767, and both refuse non-finite values; the magnitudes sit on
+// both sides of each limit, in a hidden and in an output row.
+//
+// Biases are outside the rule: int8 stores them at its int32
+// accumulator scale and admits magnitudes int16's range check refuses,
+// so WithEngine(int8) in internal/core reports the int16 error for such
+// a (diverged) model. The last assertion pins that gap.
+func TestInt8AdmissibleImpliesInt16(t *testing.T) {
+	values := []float64{0.5, 8159, 8159.99, 8160, 8161, 32767, 32767.4, 32768, 1e6,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	// Weight slots of a [3, 4, 1] network (row stride in+1, the bias
+	// last): a hidden-row weight and the output row's first weight.
+	slots := []struct {
+		name       string
+		layer, idx int
+	}{{"hidden", 0, 1}, {"output", 1, 2}}
+	build := func(layer, idx int, v float64) *Ensemble {
+		n := MustNew(rand.New(rand.NewSource(5)), []int{3, 4, 1}, Sigmoid, Linear)
+		n.weights[layer][idx] = v
+		return &Ensemble{nets: []*Network{n}}
+	}
+	for _, sl := range slots {
+		for _, mag := range values {
+			for _, v := range []float64{mag, -mag} {
+				e := build(sl.layer, sl.idx, v)
+				_, err8 := Quantize8Ensemble(e)
+				_, err16 := QuantizeEnsemble(e)
+				finite := !math.IsNaN(v) && !math.IsInf(v, 0)
+				want8 := finite && math.Abs(v) < 8160
+				want16 := finite && math.Abs(v) <= 32767
+				if (err8 == nil) != want8 || (err16 == nil) != want16 {
+					t.Errorf("%s weight %g: int8 err %v (want ok=%v), int16 err %v (want ok=%v)",
+						sl.name, v, err8, want8, err16, want16)
+				}
+				if err8 == nil && err16 != nil {
+					t.Errorf("%s weight %g: int8 admits what int16 refuses: %v", sl.name, v, err16)
+				}
+			}
+		}
+	}
+
+	bias := build(0, 3, 40000) // hidden row 0's bias slot
+	if _, err := Quantize8Ensemble(bias); err != nil {
+		t.Errorf("bias 40000: int8 refused: %v", err)
+	}
+	if _, err := QuantizeEnsemble(bias); err == nil || !strings.Contains(err.Error(), "int16 range") {
+		t.Errorf("bias 40000: int16 err %v, want the int16 range refusal", err)
+	}
 }

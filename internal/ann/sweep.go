@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// QuantSweeper is the int16 engine's full-space screening kernel: it
-// bounds every configuration of a dense odometer-indexed space in index
-// order, maintaining the first-layer pre-activation accumulators
+// QuantSweeper is the int16 engine's full-space screening kernel, and
+// the only one: an int8 view screens through its int16 twin. It bounds
+// every configuration of a dense odometer-indexed space in index order,
+// maintaining the first-layer pre-activation accumulators
 // *incrementally* instead of recomputing them per configuration.
 //
 // The space is the cross product of P positions, position p taking
@@ -40,7 +41,7 @@ import (
 // returns exactly what PredictBatchBoundsQ14 would for the same index's
 // EncodeIndexQ14 features (pinned by TestSweeperMatchesBatch). A float
 // engine cannot sweep incrementally without invalidating its error
-// argument, which is why the quantised engines win the full-space
+// argument, which is why the fixed-point engine wins the full-space
 // sweep: the per-config cost drops to the sigmoid lookups and the
 // output dot.
 //
@@ -88,12 +89,12 @@ type QuantSweeper struct {
 	pruneInit bool
 }
 
-// NewSweeper builds a sweeper for a space whose position p has
+// NewIndexSweeper builds a sweeper for a space whose position p has
 // len(levels[p]) levels with the given Q14 feature values, followed by
 // the fixed Q14 tail features (nil for parameter-only models). The
 // feature layout must match the ensemble's input width: positions first,
 // tail after — the layout of tuning.FeatureSchema.EncodeIndexQ14.
-func (q *QuantizedEnsemble) NewSweeper(levels [][]int16, tail []int16) (*QuantSweeper, error) {
+func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*QuantSweeper, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("ann: sweeper needs at least one position")
 	}

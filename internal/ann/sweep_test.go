@@ -62,67 +62,63 @@ func (sp sweepSpace) encodeIndex(idx int64, dst []int16) []int16 {
 	return append(dst, sp.tail...)
 }
 
-// q14Engines builds every quantised engine over e: the sweeper contract
-// is engine-generic, so each pinning test runs across all of them.
-func q14Engines(tb testing.TB, e *Ensemble) []Q14Engine {
-	q16, err := QuantizeEnsemble(e)
+// quantize16 builds the int16 engine over e, failing the test if the
+// quantiser refuses.
+func quantize16(tb testing.TB, e *Ensemble) *QuantizedEnsemble {
+	tb.Helper()
+	q, err := QuantizeEnsemble(e)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	q8, err := Quantize8Ensemble(e)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return []Q14Engine{q16, q8}
+	return q
 }
 
 // TestSweeperMatchesBatch pins the sweeper's contract: over every
 // conformance topology (fused two-layer, deep, single-layer linear,
-// trained) and every quantised engine, a full in-order sweep returns
-// bit-identical bounds to PredictBatchBoundsQ14 on the same features.
+// trained), a full in-order sweep returns bit-identical bounds to
+// PredictBatchBoundsQ14 on the same features.
 // No tolerance — the incremental, tile-fused integer state must be
 // exactly the from-scratch forward pass, or the sweep's
 // pruning-soundness argument collapses.
 func TestSweeperMatchesBatch(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		for _, q := range q14Engines(t, ec.e) {
-			t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(31))
-				sp := newSweepSpace(rng, q.InputDim())
-				sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
-				if err != nil {
-					t.Fatal(err)
+		q := quantize16(t, ec.e)
+		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			sp := newSweepSpace(rng, q.InputDim())
+			sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sw.Size() != sp.size {
+				t.Fatalf("Size() = %d, want %d", sw.Size(), sp.size)
+			}
+			scratch := q.NewScratch(1)
+			var qxs []int16
+			wantLb := make([]float64, 1)
+			wantUb := make([]float64, 1)
+			lb := make([]float64, 64)
+			ub := make([]float64, 64)
+			// Sweep in uneven blocks so block boundaries land on every
+			// carry depth — and interrupt tiles mid-run — at least once.
+			block := 7
+			for start := int64(0); start < sp.size; start += int64(block) {
+				n := block
+				if rest := sp.size - start; int64(n) > rest {
+					n = int(rest)
 				}
-				if sw.Size() != sp.size {
-					t.Fatalf("Size() = %d, want %d", sw.Size(), sp.size)
-				}
-				scratch := q.NewScratch(1)
-				var qxs []int16
-				wantLb := make([]float64, 1)
-				wantUb := make([]float64, 1)
-				lb := make([]float64, 64)
-				ub := make([]float64, 64)
-				// Sweep in uneven blocks so block boundaries land on every
-				// carry depth — and interrupt tiles mid-run — at least once.
-				block := 7
-				for start := int64(0); start < sp.size; start += int64(block) {
-					n := block
-					if rest := sp.size - start; int64(n) > rest {
-						n = int(rest)
+				sw.Bounds(start, n, lb, ub)
+				for i := 0; i < n; i++ {
+					idx := start + int64(i)
+					qxs = sp.encodeIndex(idx, qxs[:0])
+					q.PredictBatchBoundsQ14(qxs, 1, scratch, wantLb, wantUb)
+					if lb[i] != wantLb[0] || ub[i] != wantUb[0] {
+						t.Fatalf("index %d: sweeper [%g, %g] != batch [%g, %g]",
+							idx, lb[i], ub[i], wantLb[0], wantUb[0])
 					}
-					sw.Bounds(start, n, lb, ub)
-					for i := 0; i < n; i++ {
-						idx := start + int64(i)
-						qxs = sp.encodeIndex(idx, qxs[:0])
-						q.PredictBatchBoundsQ14(qxs, 1, scratch, wantLb, wantUb)
-						if lb[i] != wantLb[0] || ub[i] != wantUb[0] {
-							t.Fatalf("index %d: sweeper [%g, %g] != batch [%g, %g]",
-								idx, lb[i], ub[i], wantLb[0], wantUb[0])
-						}
-					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -131,113 +127,111 @@ func TestSweeperMatchesBatch(t *testing.T) {
 // random jumps return the same bounds as the in-order walk.
 func TestSweeperSeek(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		for _, q := range q14Engines(t, ec.e) {
-			t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(47))
-				sp := newSweepSpace(rng, q.InputDim())
-				inOrder, err := q.NewIndexSweeper(sp.levels, sp.tail)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantLb := make([]float64, sp.size)
-				wantUb := make([]float64, sp.size)
-				inOrder.Bounds(0, int(sp.size), wantLb, wantUb)
+		q := quantize16(t, ec.e)
+		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(47))
+			sp := newSweepSpace(rng, q.InputDim())
+			inOrder, err := q.NewIndexSweeper(sp.levels, sp.tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLb := make([]float64, sp.size)
+			wantUb := make([]float64, sp.size)
+			inOrder.Bounds(0, int(sp.size), wantLb, wantUb)
 
-				jumping, err := q.NewIndexSweeper(sp.levels, sp.tail)
-				if err != nil {
-					t.Fatal(err)
+			jumping, err := q.NewIndexSweeper(sp.levels, sp.tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb := make([]float64, 16)
+			ub := make([]float64, 16)
+			for trial := 0; trial < 50; trial++ {
+				start := rng.Int63n(sp.size)
+				n := 1 + rng.Intn(16)
+				if rest := sp.size - start; int64(n) > rest {
+					n = int(rest)
 				}
-				lb := make([]float64, 16)
-				ub := make([]float64, 16)
-				for trial := 0; trial < 50; trial++ {
-					start := rng.Int63n(sp.size)
-					n := 1 + rng.Intn(16)
-					if rest := sp.size - start; int64(n) > rest {
-						n = int(rest)
-					}
-					jumping.Bounds(start, n, lb, ub)
-					for i := 0; i < n; i++ {
-						if lb[i] != wantLb[start+int64(i)] || ub[i] != wantUb[start+int64(i)] {
-							t.Fatalf("trial %d index %d: seeked [%g, %g] != in-order [%g, %g]",
-								trial, start+int64(i), lb[i], ub[i], wantLb[start+int64(i)], wantUb[start+int64(i)])
-						}
+				jumping.Bounds(start, n, lb, ub)
+				for i := 0; i < n; i++ {
+					if lb[i] != wantLb[start+int64(i)] || ub[i] != wantUb[start+int64(i)] {
+						t.Fatalf("trial %d index %d: seeked [%g, %g] != in-order [%g, %g]",
+							trial, start+int64(i), lb[i], ub[i], wantLb[start+int64(i)], wantUb[start+int64(i)])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestSweeperBoundsCeil pins the pruning walk's contract against the
-// plain one: over every conformance topology, engine and a spread of
-// ceilings, every entry BoundsCeil reports finitely is bit-identical to
-// Bounds, every +Inf entry's true lower bound exceeds the ceiling, and a
-// +Inf ceiling reproduces Bounds exactly. Blocks are uneven so subtree
+// plain one: over every conformance topology and a spread of ceilings,
+// every entry BoundsCeil reports finitely is bit-identical to Bounds,
+// every +Inf entry's true lower bound exceeds the ceiling, and a +Inf
+// ceiling reproduces Bounds exactly. Blocks are uneven so subtree
 // skips land on every alignment, and the same sweeper object keeps
 // walking across blocks — the odometer state after a skip must stay
 // consistent with the indices it reports next.
 func TestSweeperBoundsCeil(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		for _, q := range q14Engines(t, ec.e) {
-			t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(59))
-				sp := newSweepSpace(rng, q.InputDim())
-				ref, err := q.NewIndexSweeper(sp.levels, sp.tail)
+		q := quantize16(t, ec.e)
+		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(59))
+			sp := newSweepSpace(rng, q.InputDim())
+			ref, err := q.NewIndexSweeper(sp.levels, sp.tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLb := make([]float64, sp.size)
+			wantUb := make([]float64, sp.size)
+			ref.Bounds(0, int(sp.size), wantLb, wantUb)
+
+			// Ceilings from deep inside the lb distribution to past its
+			// top, plus both infinities: every pruning regime from
+			// "skip almost everything" to "skip nothing".
+			ordered := append([]float64(nil), wantLb...)
+			sort.Float64s(ordered)
+			ceils := []float64{math.Inf(-1), math.Inf(1)}
+			for _, f := range []float64{0.05, 0.25, 0.5, 0.9} {
+				ceils = append(ceils, ordered[int(float64(len(ordered)-1)*f)])
+			}
+			for _, ceil := range ceils {
+				sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantLb := make([]float64, sp.size)
-				wantUb := make([]float64, sp.size)
-				ref.Bounds(0, int(sp.size), wantLb, wantUb)
-
-				// Ceilings from deep inside the lb distribution to past its
-				// top, plus both infinities: every pruning regime from
-				// "skip almost everything" to "skip nothing".
-				ordered := append([]float64(nil), wantLb...)
-				sort.Float64s(ordered)
-				ceils := []float64{math.Inf(-1), math.Inf(1)}
-				for _, f := range []float64{0.05, 0.25, 0.5, 0.9} {
-					ceils = append(ceils, ordered[int(float64(len(ordered)-1)*f)])
-				}
-				for _, ceil := range ceils {
-					sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
-					if err != nil {
-						t.Fatal(err)
+				lb := make([]float64, 11)
+				ub := make([]float64, 11)
+				pruned := 0
+				for start := int64(0); start < sp.size; start += int64(len(lb)) {
+					n := len(lb)
+					if rest := sp.size - start; int64(n) > rest {
+						n = int(rest)
 					}
-					lb := make([]float64, 11)
-					ub := make([]float64, 11)
-					pruned := 0
-					for start := int64(0); start < sp.size; start += int64(len(lb)) {
-						n := len(lb)
-						if rest := sp.size - start; int64(n) > rest {
-							n = int(rest)
+					sw.BoundsCeil(start, n, lb, ub, ceil)
+					for i := 0; i < n; i++ {
+						idx := start + int64(i)
+						if math.IsInf(lb[i], 1) {
+							pruned++
+							if !math.IsInf(ub[i], 1) {
+								t.Fatalf("ceil %g index %d: lb +Inf but ub %g", ceil, idx, ub[i])
+							}
+							if wantLb[idx] <= ceil {
+								t.Fatalf("ceil %g index %d: pruned but true lb %g ≤ ceil",
+									ceil, idx, wantLb[idx])
+							}
+							continue
 						}
-						sw.BoundsCeil(start, n, lb, ub, ceil)
-						for i := 0; i < n; i++ {
-							idx := start + int64(i)
-							if math.IsInf(lb[i], 1) {
-								pruned++
-								if !math.IsInf(ub[i], 1) {
-									t.Fatalf("ceil %g index %d: lb +Inf but ub %g", ceil, idx, ub[i])
-								}
-								if wantLb[idx] <= ceil {
-									t.Fatalf("ceil %g index %d: pruned but true lb %g ≤ ceil",
-										ceil, idx, wantLb[idx])
-								}
-								continue
-							}
-							if lb[i] != wantLb[idx] || ub[i] != wantUb[idx] {
-								t.Fatalf("ceil %g index %d: [%g, %g] != Bounds [%g, %g]",
-									ceil, idx, lb[i], ub[i], wantLb[idx], wantUb[idx])
-							}
+						if lb[i] != wantLb[idx] || ub[i] != wantUb[idx] {
+							t.Fatalf("ceil %g index %d: [%g, %g] != Bounds [%g, %g]",
+								ceil, idx, lb[i], ub[i], wantLb[idx], wantUb[idx])
 						}
 					}
-					if math.IsInf(ceil, 1) && pruned != 0 {
-						t.Fatalf("+Inf ceiling pruned %d entries", pruned)
-					}
 				}
-			})
-		}
+				if math.IsInf(ceil, 1) && pruned != 0 {
+					t.Fatalf("+Inf ceiling pruned %d entries", pruned)
+				}
+			}
+		})
 	}
 }
 
@@ -246,31 +240,30 @@ func TestSweeperBoundsCeil(t *testing.T) {
 // per-block allocation would show up a hundred thousand times per sweep.
 func TestSweeperZeroAlloc(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		for _, q := range q14Engines(t, ec.e) {
-			rng := rand.New(rand.NewSource(3))
-			sp := newSweepSpace(rng, q.InputDim())
-			sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 32
-			if int64(n) > sp.size {
-				n = int(sp.size)
-			}
-			lb := make([]float64, n)
-			ub := make([]float64, n)
-			if allocs := testing.AllocsPerRun(20, func() {
-				sw.Bounds(0, n, lb, ub)
-				if rest := sp.size - int64(n); rest > 0 {
-					m := n
-					if int64(m) > rest {
-						m = int(rest)
-					}
-					sw.Bounds(int64(n), m, lb, ub)
+		q := quantize16(t, ec.e)
+		rng := rand.New(rand.NewSource(3))
+		sp := newSweepSpace(rng, q.InputDim())
+		sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 32
+		if int64(n) > sp.size {
+			n = int(sp.size)
+		}
+		lb := make([]float64, n)
+		ub := make([]float64, n)
+		if allocs := testing.AllocsPerRun(20, func() {
+			sw.Bounds(0, n, lb, ub)
+			if rest := sp.size - int64(n); rest > 0 {
+				m := n
+				if int64(m) > rest {
+					m = int(rest)
 				}
-			}); allocs != 0 {
-				t.Errorf("%s/%s: Bounds allocated %.1f times per sweep pass", ec.name, q.Name(), allocs)
+				sw.Bounds(int64(n), m, lb, ub)
 			}
+		}); allocs != 0 {
+			t.Errorf("%s/%s: Bounds allocated %.1f times per sweep pass", ec.name, q.Name(), allocs)
 		}
 	}
 }
@@ -282,20 +275,19 @@ func TestSweeperRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	e := &Ensemble{nets: []*Network{MustNew(rng, []int{4, 6, 1}, Sigmoid, Linear)}}
 	lv := []int16{0, qOne / 2}
-	for _, q := range q14Engines(t, e) {
-		for _, tc := range []struct {
-			name   string
-			levels [][]int16
-			tail   []int16
-			want   string
-		}{
-			{"no-positions", nil, make([]int16, 4), "at least one position"},
-			{"width-mismatch", [][]int16{lv, lv}, []int16{0}, "input width"},
-			{"empty-level", [][]int16{lv, {}, lv, lv}, nil, "no levels"},
-		} {
-			if _, err := q.NewIndexSweeper(tc.levels, tc.tail); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s/%s: error %v, want substring %q", q.Name(), tc.name, err, tc.want)
-			}
+	q := quantize16(t, e)
+	for _, tc := range []struct {
+		name   string
+		levels [][]int16
+		tail   []int16
+		want   string
+	}{
+		{"no-positions", nil, make([]int16, 4), "at least one position"},
+		{"width-mismatch", [][]int16{lv, lv}, []int16{0}, "input width"},
+		{"empty-level", [][]int16{lv, {}, lv, lv}, nil, "no levels"},
+	} {
+		if _, err := q.NewIndexSweeper(tc.levels, tc.tail); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s/%s: error %v, want substring %q", q.Name(), tc.name, err, tc.want)
 		}
 	}
 
@@ -305,9 +297,7 @@ func TestSweeperRejects(t *testing.T) {
 	for i := range levels {
 		levels[i] = lv
 	}
-	for _, q := range q14Engines(t, wide) {
-		if _, err := q.NewIndexSweeper(levels, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
-			t.Errorf("%s overflow: error %v, want overflow rejection", q.Name(), err)
-		}
+	if _, err := quantize16(t, wide).NewIndexSweeper(levels, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("overflow: error %v, want overflow rejection", err)
 	}
 }

@@ -8,20 +8,6 @@ import (
 	"repro/internal/tuning"
 )
 
-// SearchResult is the outcome of a baseline search in the classic,
-// pre-Session shape. New code should use Result (every strategy returns
-// one); SearchResult remains the return type of the deprecated wrappers.
-type SearchResult struct {
-	// Found reports whether any valid configuration was measured.
-	Found bool
-	// Best is the fastest configuration found.
-	Best tuning.Config
-	// BestSeconds is Best's measured time.
-	BestSeconds float64
-	// Measured counts valid measurements; Invalid counts failed ones.
-	Measured, Invalid int
-}
-
 // randomStrategy measures Options.Budget randomly drawn configurations
 // (without replacement) and keeps the fastest — the paper's baseline for
 // the large spaces (Figure 14 compares the tuner against the best of 50K
@@ -93,41 +79,4 @@ func searchIndices(ctx context.Context, s *Session, stage string, idxs []int64) 
 	}
 	res.MeasuredFraction = float64(res.Measured+res.Invalid) / float64(s.Space().Size())
 	return res, nil
-}
-
-// RandomSearch measures n random configurations and returns the fastest.
-//
-// Deprecated: RandomSearch is the pre-Session entry point, kept for
-// compatibility. Build a Session with Options{Budget: n, Seed: seed} and
-// run the "random" strategy instead.
-func RandomSearch(m Measurer, n int, seed int64) (*SearchResult, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: RandomSearch needs a positive sample count, got %d", n)
-	}
-	s, err := NewSession(m, Options{Budget: n, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Run(context.Background(), "random")
-	if err != nil {
-		return nil, err
-	}
-	return res.Search(), nil
-}
-
-// Exhaustive measures every configuration and returns the fastest.
-//
-// Deprecated: Exhaustive is the pre-Session entry point, kept for
-// compatibility. Build a Session and run the "exhaustive" strategy
-// instead.
-func Exhaustive(m Measurer) (*SearchResult, error) {
-	s, err := NewSession(m, Options{})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Run(context.Background(), "exhaustive")
-	if err != nil {
-		return nil, err
-	}
-	return res.Search(), nil
 }

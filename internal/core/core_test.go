@@ -38,6 +38,15 @@ func quadSpace() (*tuning.Space, *FuncMeasurer) {
 	return space, m
 }
 
+// runStrategy runs the named strategy on a one-shot session.
+func runStrategy(m Measurer, opts Options, name string) (*Result, error) {
+	s, err := NewSession(m, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(context.Background(), name)
+}
+
 func fastModelConfig(seed int64) ModelConfig {
 	mc := DefaultModelConfig(seed)
 	mc.Ensemble.K = 3
@@ -48,7 +57,7 @@ func fastModelConfig(seed int64) ModelConfig {
 func TestTuneFindsQuadOptimum(t *testing.T) {
 	_, m := quadSpace()
 	opts := Options{TrainingSamples: 60, SecondStage: 30, Seed: 1, Model: fastModelConfig(1)}
-	res, err := Tune(m, opts)
+	res, err := runStrategy(m, opts, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +83,13 @@ func TestTuneFindsQuadOptimum(t *testing.T) {
 
 func TestTuneValidation(t *testing.T) {
 	_, m := quadSpace()
-	if _, err := Tune(m, Options{TrainingSamples: 0, SecondStage: 5}); err == nil {
+	if _, err := runStrategy(m, Options{TrainingSamples: 0, SecondStage: 5}, "ml"); err == nil {
 		t.Error("zero training samples accepted")
 	}
-	if _, err := Tune(m, Options{TrainingSamples: 5, SecondStage: 0}); err == nil {
+	if _, err := runStrategy(m, Options{TrainingSamples: 5, SecondStage: 0}, "ml"); err == nil {
 		t.Error("zero second stage accepted")
 	}
-	if _, err := Tune(nil, Options{TrainingSamples: 5, SecondStage: 5}); err == nil {
+	if _, err := runStrategy(nil, Options{TrainingSamples: 5, SecondStage: 5}, "ml"); err == nil {
 		t.Error("nil measurer accepted")
 	}
 }
@@ -98,7 +107,7 @@ func TestTuneHandlesInvalidConfigs(t *testing.T) {
 		},
 	}
 	opts := Options{TrainingSamples: 40, SecondStage: 64, Seed: 3, Model: fastModelConfig(3)}
-	res, err := Tune(m, opts)
+	res, err := runStrategy(m, opts, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +145,7 @@ func TestTuneAllSecondStageInvalid(t *testing.T) {
 		},
 	}
 	opts := Options{TrainingSamples: 4, SecondStage: 2, Seed: 5, MaxAttempts: 8, Model: fastModelConfig(5)}
-	res, err := Tune(m, opts)
+	res, err := runStrategy(m, opts, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +157,11 @@ func TestTuneAllSecondStageInvalid(t *testing.T) {
 func TestGatherDeterministic(t *testing.T) {
 	_, m := quadSpace()
 	opts := Options{TrainingSamples: 30, SecondStage: 5, Seed: 11, Model: fastModelConfig(11)}
-	r1, err := Tune(m, opts)
+	r1, err := runStrategy(m, opts, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Tune(m, opts)
+	r2, err := runStrategy(m, opts, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +318,7 @@ func TestInvalidPenaltyExtension(t *testing.T) {
 
 func TestRandomSearch(t *testing.T) {
 	_, m := quadSpace()
-	res, err := RandomSearch(m, 100, 7)
+	res, err := runStrategy(m, Options{Budget: 100, Seed: 7}, "random")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,14 +328,14 @@ func TestRandomSearch(t *testing.T) {
 	if res.BestSeconds > 1.5 {
 		t.Errorf("100 random draws found only %v", res.BestSeconds)
 	}
-	if _, err := RandomSearch(m, 0, 1); err == nil {
+	if _, err := runStrategy(m, Options{Budget: 0, Seed: 1}, "random"); err == nil {
 		t.Error("zero draws accepted")
 	}
 }
 
 func TestExhaustive(t *testing.T) {
 	space, m := quadSpace()
-	res, err := Exhaustive(m)
+	res, err := runStrategy(m, Options{}, "exhaustive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +429,7 @@ func TestTuneOnSimulatedDeviceSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{TrainingSamples: 400, SecondStage: 80, Seed: 9, Model: fastModelConfig(9)}
-	res, err := Tune(m, opts)
+	res, err := runStrategy(m, opts, "ml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +456,7 @@ func TestTuneOnSimulatedDeviceSmall(t *testing.T) {
 
 func TestHillClimbFindsLocalOptimum(t *testing.T) {
 	_, m := quadSpace()
-	res, err := HillClimb(m, 120, 3, 11)
+	res, err := runStrategy(m, Options{Budget: 120, Restarts: 3, Seed: 11}, "hillclimb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +475,7 @@ func TestHillClimbFindsLocalOptimum(t *testing.T) {
 
 func TestHillClimbValidation(t *testing.T) {
 	_, m := quadSpace()
-	if _, err := HillClimb(m, 0, 1, 1); err == nil {
+	if _, err := runStrategy(m, Options{Budget: 0, Restarts: 1, Seed: 1}, "hillclimb"); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
@@ -482,7 +491,7 @@ func TestHillClimbHandlesInvalid(t *testing.T) {
 			return base.Fn(cfg)
 		},
 	}
-	res, err := HillClimb(m, 100, 4, 7)
+	res, err := runStrategy(m, Options{Budget: 100, Restarts: 4, Seed: 7}, "hillclimb")
 	if err != nil {
 		t.Fatal(err)
 	}

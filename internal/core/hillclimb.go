@@ -129,27 +129,6 @@ func (hillClimbStrategy) Run(ctx context.Context, s *Session) (*Result, error) {
 	return res, nil
 }
 
-// HillClimb runs the steepest-descent local-search baseline within a
-// measurement budget, with random restarts.
-//
-// Deprecated: HillClimb is the pre-Session entry point, kept for
-// compatibility. Build a Session with Options{Budget: budget, Restarts:
-// restarts, Seed: seed} and run the "hillclimb" strategy instead.
-func HillClimb(m Measurer, budget, restarts int, seed int64) (*SearchResult, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("core: HillClimb needs a positive budget, got %d", budget)
-	}
-	s, err := NewSession(m, Options{Budget: budget, Restarts: restarts, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Run(context.Background(), "hillclimb")
-	if err != nil {
-		return nil, err
-	}
-	return res.Search(), nil
-}
-
 // neighbours returns the configurations reachable by moving one parameter
 // one position up or down its value list.
 func neighbours(cfg tuning.Config) []tuning.Config {

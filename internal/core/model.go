@@ -75,15 +75,15 @@ type Model struct {
 	tail []float64
 	// engine is the selected inference engine (WithEngine); nil selects
 	// the float64 reference. The scalar Predict path always runs the
-	// reference regardless — the engine drives the batch paths and the
-	// top-M screening.
+	// reference regardless. The engine drives the batch paths; top-M
+	// screening runs through screen.
 	engine ann.Engine
-	// screen16 is the int16 engine backing the top-M screen when the int8
-	// engine is selected: int8 bounds are an order of magnitude wider
-	// than int16's — too wide to prune a trained model's space — so the
-	// sweep screens through the int16 tables instead (see topMSweep).
-	// Set by WithEngine(int8); nil otherwise.
-	screen16 *ann.QuantizedEnsemble
+	// screen is the int16 engine the top-M sweep screens through (see
+	// topMSweep). WithEngine sets it for both quantised engines: int8
+	// bounds are an order of magnitude wider than int16's, too wide to
+	// prune a trained model's space, so an int8 view screens through
+	// its int16 twin. nil screens through the float64 reference.
+	screen *ann.QuantizedEnsemble
 	// q16/q8 are prebuilt quantised engines, populated by the v4 arena
 	// loader so WithEngine installs them without a quantisation pass;
 	// nil means quantise on demand.
@@ -116,30 +116,31 @@ func (m *Model) eng() ann.Engine {
 //
 // Engine semantics: batch predictions are within the engine's proven
 // error bound of the reference (bit-identical for the float64 engine),
-// while TopM uses the engine only to *screen* — every score that ranks
-// configurations is computed by the exact reference path, so the
-// returned set and order are engine-independent.
+// while TopM screens through the int16 engine under either quantised
+// engine — every score that ranks configurations is computed by the
+// exact reference path, so the returned set and order are
+// engine-independent. Selecting int8 therefore needs the int16 engine
+// too, and reports the int16 quantiser's refusal.
 func (m *Model) WithEngine(name string) (*Model, error) {
 	view := *m
+	view.screen = nil
 	switch name {
 	case ann.EngineInt16:
 		q16, err := m.int16Engine()
 		if err != nil {
 			return nil, err
 		}
-		view.engine = q16
+		view.engine, view.screen = q16, q16
 	case ann.EngineInt8:
 		q8, err := m.int8Engine()
 		if err != nil {
 			return nil, err
 		}
-		view.engine = q8
-		// topMSweep screens int8 models through the int16 tables; int8's
-		// admissible magnitude range is a strict subset of int16's, so the
-		// screen engine quantises whenever int8 itself did.
-		if q16, err := m.int16Engine(); err == nil {
-			view.screen16 = q16
+		q16, err := m.int16Engine()
+		if err != nil {
+			return nil, err
 		}
+		view.engine, view.screen = q8, q16
 	default:
 		eng, err := ann.NewEngine(name, m.ensemble)
 		if err != nil {
@@ -344,9 +345,9 @@ type BatchScratch struct {
 	qxs   []int16
 	qtail []int16
 	// sweep is the incremental full-space screening kernel, built for
-	// bound models on a quantised engine (see ann.QuantSweeper); nil
+	// bound models on the int16 engine (see ann.QuantSweeper); nil
 	// otherwise, falling back to per-index bounds.
-	sweep ann.IndexSweeper
+	sweep *ann.QuantSweeper
 	idxs  []int64   // per-block index buffer of the bounds fallback
 	xs    []float64 // block-sample-major encoded features
 	raw   []float64 // raw ensemble outputs for one block
@@ -375,13 +376,16 @@ func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
 		s.qxs = make([]int16, 0, predictBlock*m.schema.Dim())
 		if m.Bound() {
 			s.qtail = m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
-			// The incremental sweeper needs the whole feature layout
-			// pinned (positions then tail); a mismatch means the engine
-			// was built for another model, and the per-index fallback
-			// below stays correct either way.
-			if sw, err := q.NewIndexSweeper(m.schema.Q14Levels(), s.qtail); err == nil {
-				s.sweep = sw
-			}
+		}
+	}
+	// Only the int16 engine screens (see topMSweep), so only its scratch
+	// carries the incremental sweeper. The sweeper needs the whole
+	// feature layout pinned (positions then tail); a mismatch means the
+	// engine was built for another model, and the per-index fallback
+	// stays correct either way.
+	if q, ok := eng.(*ann.QuantizedEnsemble); ok && m.Bound() {
+		if sw, err := q.NewIndexSweeper(m.schema.Q14Levels(), s.qtail); err == nil {
+			s.sweep = sw
 		}
 	}
 	return s
@@ -473,7 +477,7 @@ func (m *Model) predictIndexBounds(idxs []int64, s *BatchScratch, lb, ub []float
 
 // boundIndexRange is predictIndexBounds over the n sequential indices
 // starting at start: the screening shape of the top-M sweep. On the
-// quantised engines it runs the incremental sweeper — the first layer's
+// int16 engine it runs the incremental sweeper — the first layer's
 // pre-activations update in place as the index odometer turns, so the
 // per-config cost collapses to the sigmoid lookups and the output dot —
 // and forwards the pruning ceiling: entries (or whole subtrees) the
@@ -516,10 +520,10 @@ func (p Predicted) less(q Predicted) bool {
 // execution time for all possible configurations" step — and returns the
 // M configurations with the lowest predicted times, best first (ties
 // broken towards the lower index). Each worker screens its partition in
-// blocks through the selected engine's bounds pass and feeds a bounded
-// top-heap; only configurations whose conservative lower bound could
-// still beat the heap's worst entry pay the exact reference forward
-// pass. The heap never holds an engine-approximated score — every value
+// blocks through a bounds pass (the int16 sweeper under either quantised
+// engine, the reference otherwise) and feeds a bounded top-heap; only
+// configurations whose conservative lower bound could still beat the
+// heap's worst entry pay the exact reference forward pass. The heap never holds an engine-approximated score — every value
 // that ranks configurations is exact — so the returned set and order
 // are identical under every engine and every worker count: pruning
 // never changes emitted values (a pruned configuration provably loses
@@ -607,21 +611,12 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 	chunk := (size + int64(workers) - 1) / int64(workers)
 
 	// The heap only ever ranks exact scores, so the exact pass always
-	// runs the float64 reference; the selected engine drives screening.
+	// runs the float64 reference. Screening runs through m.screen when
+	// WithEngine set one, otherwise through the reference itself. Every
+	// screen's bracket contains the reference prediction, so the choice
+	// cannot change the result set — only how much of the space pays an
+	// exact score.
 	refEngine := ann.Float64Engine{E: m.ensemble}
-	screenEngine := m.eng()
-	// The int8 engine's proven bound is an order of magnitude wider than
-	// the int16 engine's — wide enough that on trained models most of the
-	// space survives an int8 screen, and every false survivor pays an
-	// exact reference pass. Screening therefore runs over the retained
-	// int16 tables (WithEngine(int8) always carries them: int8's
-	// admissible magnitude range is a strict subset of int16's). Both
-	// engines' brackets contain the reference prediction, so the screen
-	// swap cannot change the result set — only how much of the space pays
-	// an exact score.
-	if screenEngine.Name() == ann.EngineInt8 && m.screen16 != nil {
-		screenEngine = m.screen16
-	}
 
 	// Seed indices are excluded from the partition scan below — each
 	// already sits in every heap with its exact score, and offering an
@@ -663,8 +658,8 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 			}
 			exact := m.newBatchScratchFor(refEngine)
 			screen := exact
-			if screenEngine.Name() != ann.EngineFloat64 {
-				screen = m.newBatchScratchFor(screenEngine)
+			if m.screen != nil {
+				screen = m.newBatchScratchFor(m.screen)
 			}
 			idxs := make([]int64, 0, exact.block)
 			preds := make([]float64, 0, exact.block)

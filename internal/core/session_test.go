@@ -607,30 +607,27 @@ func TestModelSaveFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersSeedStable(t *testing.T) {
-	// The old entry points delegate to the new API; fixed seeds must
-	// keep producing identical results run over run.
+func TestBaselineStrategiesSeedStable(t *testing.T) {
+	// The budgeted baseline strategies draw from seed-derived RNGs; fixed
+	// seeds must keep producing identical results run over run.
 	_, m := quadSpace()
-	r1, err := RandomSearch(m, 60, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RandomSearch(m, 60, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Best.Equal(r2.Best) || r1.BestSeconds != r2.BestSeconds {
-		t.Errorf("RandomSearch not seed-stable: %v vs %v", r1, r2)
-	}
-	h1, err := HillClimb(m, 80, 2, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := HillClimb(m, 80, 2, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h1.Best.Equal(h2.Best) || h1.BestSeconds != h2.BestSeconds {
-		t.Errorf("HillClimb not seed-stable: %v vs %v", h1, h2)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"random", Options{Budget: 60, Seed: 13}},
+		{"hillclimb", Options{Budget: 80, Restarts: 2, Seed: 17}},
+	} {
+		r1, err := runStrategy(m, tc.opts, tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := runStrategy(m, tc.opts, tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r1.Best.Equal(r2.Best) || r1.BestSeconds != r2.BestSeconds {
+			t.Errorf("%s not seed-stable: %v/%v vs %v/%v", tc.name, r1.Best, r1.BestSeconds, r2.Best, r2.BestSeconds)
+		}
 	}
 }

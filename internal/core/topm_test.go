@@ -97,9 +97,10 @@ func paperConvolutionModel(t *testing.T) *Model {
 }
 
 // TestConvolutionTopMEngineSetIdentity is the acceptance pin: over the
-// full 131K convolution space, every engine's TopM — including the
-// int8 engine over the cache-blocked sweeper — returns the identical
-// set, indices AND order after tie-break, as the float engine's.
+// full 131K convolution space, every engine's TopM — the quantised ones
+// screening through the cache-blocked int16 sweeper — returns the
+// identical set, indices AND order after tie-break, as the float
+// engine's.
 func TestConvolutionTopMEngineSetIdentity(t *testing.T) {
 	m := paperConvolutionModel(t)
 	const M = 200
@@ -256,6 +257,28 @@ func TestTopMIncrementalInt16Engine(t *testing.T) {
 	warm := m2.TopMIncremental(M, prev)
 	if !samePredicted(warm.Top, bruteTopM(m2, M)) {
 		t.Fatal("int16-screened seeded sweep differs from the scalar specification")
+	}
+}
+
+// TestInt8ScreensThroughInt16 pins the screen rule: an int8 view screens
+// through the int16 engine, so its sweep pays exactly the int16 view's
+// exact forward passes and returns the same answer.
+func TestInt8ScreensThroughInt16(t *testing.T) {
+	const M = 50
+	m := trainedTestModel(t)
+	q16 := engineView(t, m, ann.EngineInt16).TopMIncremental(M, nil)
+	q8 := engineView(t, m, ann.EngineInt8).TopMIncremental(M, nil)
+	if q8.Scored != q16.Scored {
+		t.Fatalf("int8 view scored %d configs, int16 view %d: the int8 view is not screening through int16",
+			q8.Scored, q16.Scored)
+	}
+	if !samePredicted(q8.Top, q16.Top) {
+		t.Fatal("int8 and int16 views returned different top-M sets")
+	}
+	// Re-engining a quantised view back to the reference drops the screen.
+	ref := engineView(t, engineView(t, m, ann.EngineInt8), ann.EngineFloat64)
+	if got, want := ref.TopMIncremental(M, nil).Scored, m.TopMIncremental(M, nil).Scored; got != want {
+		t.Fatalf("float64 view of an int8 view scored %d configs, the reference %d", got, want)
 	}
 }
 

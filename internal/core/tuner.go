@@ -126,18 +126,6 @@ type Result struct {
 	Cost CostReport
 }
 
-// Search returns the result reduced to the classic SearchResult shape
-// used by the deprecated baseline entry points.
-func (r *Result) Search() *SearchResult {
-	return &SearchResult{
-		Found:       r.Found,
-		Best:        r.Best,
-		BestSeconds: r.BestSeconds,
-		Measured:    r.Measured,
-		Invalid:     r.Invalid,
-	}
-}
-
 // accept folds one valid measurement into the result's best-so-far,
 // reporting whether it became the new best.
 func (r *Result) accept(cfg tuning.Config, secs float64) bool {
@@ -297,22 +285,6 @@ func (mlStrategy) Run(ctx context.Context, s *Session) (*Result, error) {
 	executed := freshGatherValid + freshGatherInvalid + tailExecuted + freshSecond + freshInvalidSecond
 	res.MeasuredFraction = float64(executed) / float64(space.Size())
 	return res, nil
-}
-
-// Tune runs the complete two-stage auto-tuner of the paper against the
-// measurer.
-//
-// Deprecated: Tune is the pre-Session entry point, kept for
-// compatibility. Build a Session and run the "ml" strategy instead:
-//
-//	s, _ := NewSession(m, opts)
-//	res, _ := s.Run(ctx, "ml")
-func Tune(m Measurer, opts Options) (*Result, error) {
-	s, err := NewSession(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background(), "ml")
 }
 
 // compileCost returns the simulated kernel build time when the measurer

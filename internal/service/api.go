@@ -400,6 +400,9 @@ type resolvedModel struct {
 	key       ModelKey
 	via       string
 	ephemeral bool
+	// epoch is the serve cache's invalidation count read before the
+	// model was fetched.
+	epoch uint64
 }
 
 // resolve maps a prediction request to a servable model, in the
@@ -416,7 +419,9 @@ type resolvedModel struct {
 // On a sharded instance it first checks ownership of the addressed
 // benchmark@device key and refuses non-owned keys with errKindNotOwner
 // naming the owner.
-func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (resolvedModel, *Error) {
+func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm resolvedModel, _ *Error) {
+	epoch := s.cache.epoch.Load()
+	defer func() { rm.epoch = epoch }()
 	fail := func(kind, format string, args ...any) (resolvedModel, *Error) {
 		return resolvedModel{}, errf(kind, format, args...)
 	}
@@ -458,7 +463,7 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 				return fail(errKindInvalid,
 					"model %s is portable but %v; pass an inline descriptor", key, verr)
 			}
-			bound, berr := s.cache.bound(key, m, vec)
+			bound, berr := s.cache.bound(key, m, vec, epoch)
 			if berr != nil {
 				return fail(errKindInternal, "%v", berr)
 			}
@@ -500,7 +505,7 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 			benchmark, device, pkey, verr)
 	}
 	key := ModelKey{Benchmark: benchmark, Device: device}
-	bound, berr := s.cache.bound(key, pm, vec)
+	bound, berr := s.cache.bound(key, pm, vec, epoch)
 	if berr != nil {
 		return fail(errKindInternal, "%v", berr)
 	}
@@ -514,7 +519,7 @@ func (s *Server) predictThrough(rm resolvedModel, cfgs []tuning.Config, dst []fl
 	if rm.ephemeral {
 		return rm.model.PredictBatchWith(cfgs, rm.model.NewBatchScratch(), dst)
 	}
-	return s.cache.entry(rm.key, rm.model).predictBatch(cfgs, dst)
+	return s.cache.entry(rm.key, rm.model, rm.epoch).predictBatch(cfgs, dst)
 }
 
 // topMThrough answers a top-M query through the resolved model;
@@ -522,7 +527,7 @@ func (s *Server) predictThrough(rm resolvedModel, cfgs []tuning.Config, dst []fl
 // polluting the cache with client-controlled keys.
 func (s *Server) topMThrough(rm resolvedModel, M int) []Prediction {
 	if !rm.ephemeral {
-		return s.cache.entry(rm.key, rm.model).topMCached(M)
+		return s.cache.entry(rm.key, rm.model, rm.epoch).topMCached(M)
 	}
 	top := rm.model.TopM(M)
 	out := make([]Prediction, len(top))

@@ -2,6 +2,7 @@ package service
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ann"
 	"repro/internal/core"
@@ -32,6 +33,14 @@ type serveCache struct {
 	// engine is the read path's configured inference engine name
 	// (Server.WithEngine); "" serves on the float64 reference.
 	engine string
+
+	// epoch counts invalidations. A request reads it before fetching its
+	// model from the registry; a slot or binding built after a swap or
+	// reload has invalidated since then may hold the replaced model, so
+	// it serves that one request but is not stored — otherwise it would
+	// pin the replaced model (and its memory mapping) until the key's
+	// next request.
+	epoch atomic.Uint64
 
 	mu      sync.Mutex
 	entries map[ModelKey]*serveEntry
@@ -96,8 +105,10 @@ func newServeCache(m *cacheMetrics, engine string) *serveCache {
 // bound returns parent bound to the given device vector, memoised under
 // key. The memo is keyed by the *resolved* key (benchmark@requesting
 // device), and revalidated by parent pointer: a retrained or reloaded
-// portable model invalidates every stale binding on first use.
-func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64) (*core.Model, error) {
+// portable model invalidates every stale binding on first use. epoch is
+// the invalidation count read before parent was fetched (see
+// serveCache.epoch).
+func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64, epoch uint64) (*core.Model, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r, ok := c.binds[key]; ok && r.parent == parent {
@@ -109,7 +120,9 @@ func (c *serveCache) bound(key ModelKey, parent *core.Model, device []float64) (
 	if err != nil {
 		return nil, err
 	}
-	c.binds[key] = bindRec{parent: parent, bound: bound}
+	if c.epoch.Load() == epoch {
+		c.binds[key] = bindRec{parent: parent, bound: bound}
+	}
 	return bound, nil
 }
 
@@ -133,8 +146,9 @@ func (c *serveCache) engineView(m *core.Model) *core.Model {
 // entry returns the cache slot for key's current model, building a fresh
 // one when none exists or the model pointer changed (reload, retrain,
 // re-bind). A fresh slot snapshots the retained top-M results for the
-// key, so its first sweeps start warm.
-func (c *serveCache) entry(key ModelKey, m *core.Model) *serveEntry {
+// key, so its first sweeps start warm. epoch is the invalidation count
+// read before m was fetched (see serveCache.epoch).
+func (c *serveCache) entry(key ModelKey, m *core.Model, epoch uint64) *serveEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -148,7 +162,9 @@ func (c *serveCache) entry(key ModelKey, m *core.Model) *serveEntry {
 			m: c.m, topM: make(map[int]*topMRec), prev: prev}
 		view := e.model
 		e.scratches.New = func() any { return view.NewBatchScratch() }
-		c.entries[key] = e
+		if c.epoch.Load() == epoch {
+			c.entries[key] = e
+		}
 	} else {
 		c.m.entry(true)
 	}
@@ -183,6 +199,7 @@ func (c *serveCache) invalidate(key ModelKey) {
 	defer c.mu.Unlock()
 	delete(c.entries, key)
 	delete(c.binds, key)
+	c.epoch.Add(1)
 	c.m.invalidated()
 }
 
@@ -193,6 +210,7 @@ func (c *serveCache) invalidateAll() {
 	defer c.mu.Unlock()
 	c.entries = make(map[ModelKey]*serveEntry)
 	c.binds = make(map[ModelKey]bindRec)
+	c.epoch.Add(1)
 	c.m.invalidated()
 }
 

@@ -43,7 +43,7 @@ func TestMmapSwapLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The int8 engine exercises the most state per model: quantised
-	// tables decoded straight out of the arena, plus the int16 cascade.
+	// tables decoded straight out of the arena, plus the int16 screen.
 	srv := newTestServer(t, reg, 1, 4, WithEngine(ann.EngineInt8))
 
 	stop := make(chan struct{})
@@ -134,5 +134,29 @@ func TestMapperBackendServesMapped(t *testing.T) {
 	}
 	if runtime.GOOS == "linux" && mmapx.Live() != before+1 {
 		t.Fatalf("mapped load did not register a live mapping (before %d, after %d)", before, mmapx.Live())
+	}
+}
+
+// TestServeCacheSkipsSlotsAcrossInvalidation pins the race the swap
+// hammer above can hit: a request that fetched its model before a swap
+// invalidated the cache must not store a slot for that model
+// afterwards, or the replaced model stays pinned until the key's next
+// request.
+func TestServeCacheSkipsSlotsAcrossInvalidation(t *testing.T) {
+	c := newServeCache(nil, "")
+	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
+	m := trainTinyModel(t, 23)
+
+	epoch := c.epoch.Load()
+	c.invalidate(key)
+	if e := c.entry(key, m, epoch); e == nil || e.src != m {
+		t.Fatal("stale request got no usable slot")
+	}
+	if _, ok := c.entries[key]; ok {
+		t.Fatal("slot built across an invalidation was stored")
+	}
+	c.entry(key, m, c.epoch.Load())
+	if _, ok := c.entries[key]; !ok {
+		t.Fatal("slot built within one epoch was not stored")
 	}
 }

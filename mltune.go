@@ -37,10 +37,6 @@
 // across devices — persists with Model.Save and reloads with LoadModel on
 // any machine, predicting bit-identically.
 //
-// The pre-Session entry points (Tune, RandomSearch, HillClimb,
-// Exhaustive) still work but are deprecated; they are thin wrappers over
-// a one-shot session.
-//
 // Underneath sit the paper's three parameterized benchmarks
 // (internal/bench), the simulated devices with analytic performance
 // models (internal/devsim), a functional OpenCL-style runtime
@@ -95,9 +91,6 @@ type (
 	Model = core.Model
 	// Result is the outcome of a strategy run; all strategies share it.
 	Result = core.Result
-	// SearchResult is the outcome of a baseline search (the deprecated
-	// pre-Session shape; Result.Search converts).
-	SearchResult = core.SearchResult
 	// Session owns one tuning run's measurer, memo cache, gather pool
 	// and observer stream.
 	Session = core.Session
@@ -218,12 +211,6 @@ func LoadModel(r io.Reader) (*Model, error) { return core.LoadModel(r) }
 // LoadModelFile loads a model from the named file (see LoadModel).
 func LoadModelFile(path string) (*Model, error) { return core.LoadModelFile(path) }
 
-// Tune runs the paper's two-stage auto-tuner against the measurer.
-//
-// Deprecated: build a Session and run the "ml" strategy instead; that
-// adds cancellation, progress events and measurement reuse.
-func Tune(m Measurer, opts Options) (*Result, error) { return core.Tune(m, opts) }
-
 // DefaultOptions returns the paper's highlighted configuration
 // (N=2000 training samples, M=200 second-stage candidates).
 func DefaultOptions(seed int64) Options { return core.DefaultOptions(seed) }
@@ -236,28 +223,6 @@ func DefaultModelConfig(seed int64) ModelConfig { return core.DefaultModelConfig
 // the tuner, usable standalone for prediction studies).
 func TrainModel(space *Space, samples []Sample, invalid []Config, cfg ModelConfig) (*Model, error) {
 	return core.TrainModel(space, samples, invalid, cfg)
-}
-
-// RandomSearch measures n random configurations and returns the fastest.
-//
-// Deprecated: build a Session with Options{Budget: n, Seed: seed} and
-// run the "random" strategy instead.
-func RandomSearch(m Measurer, n int, seed int64) (*SearchResult, error) {
-	return core.RandomSearch(m, n, seed)
-}
-
-// Exhaustive measures every configuration and returns the fastest.
-//
-// Deprecated: build a Session and run the "exhaustive" strategy instead.
-func Exhaustive(m Measurer) (*SearchResult, error) { return core.Exhaustive(m) }
-
-// HillClimb runs the steepest-descent local-search baseline within a
-// measurement budget, with random restarts.
-//
-// Deprecated: build a Session with Options{Budget: budget, Restarts:
-// restarts, Seed: seed} and run the "hillclimb" strategy instead.
-func HillClimb(m Measurer, budget, restarts int, seed int64) (*SearchResult, error) {
-	return core.HillClimb(m, budget, restarts, seed)
 }
 
 // SuggestM estimates the smallest second-stage size M that contains the

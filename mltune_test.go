@@ -72,24 +72,27 @@ func TestFacadeEndToEndTune(t *testing.T) {
 	opts := mltune.DefaultOptions(5)
 	opts.TrainingSamples = 25
 	opts.SecondStage = 12
-	res, err := mltune.Tune(m, opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(opts mltune.Options, strategy string) *mltune.Result {
+		t.Helper()
+		s, err := mltune.NewSession(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(context.Background(), strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	res := run(opts, "ml")
 	if !res.Found {
 		t.Fatal("no result")
 	}
-	ex, err := mltune.Exhaustive(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := run(mltune.Options{}, "exhaustive")
 	if res.BestSeconds > 3*ex.BestSeconds {
 		t.Errorf("tuned %v vs optimum %v", res.BestSeconds, ex.BestSeconds)
 	}
-	rnd, err := mltune.RandomSearch(m, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rnd := run(mltune.Options{Budget: 20, Seed: 1}, "random")
 	if !rnd.Found {
 		t.Error("random search found nothing")
 	}
