@@ -425,10 +425,11 @@ func BenchmarkConvolutionTopMBatched(b *testing.B) {
 }
 
 // BenchmarkConvolutionTopMEngines runs the same full-space top-200 sweep
-// under each inference engine. The result set is engine-independent (the
-// heap only ranks exact reference scores); the engines differ in what the
-// screening pass costs and how tight its bounds are, i.e. how few
-// configurations survive to pay the exact forward pass.
+// under each inference engine. Every view screens through the int16
+// sweeper and ranks only exact reference scores, so the work and the
+// result are engine-independent; the sub-benchmarks differ only in the
+// engine-selection path (an int16 view reuses its quantised tables, the
+// others quantise once per sweep).
 func BenchmarkConvolutionTopMEngines(b *testing.B) {
 	for _, name := range ann.EngineNames() {
 		b.Run(name, func(b *testing.B) {

@@ -13,9 +13,6 @@ type BatchScratch struct {
 	// activations[l] is layer l's output for the whole block, sample-major
 	// ([sample*sizes[l]+neuron]); activations[0] is the input block.
 	activations [][]float64
-	// lbActs/ubActs are the bounds-pass buffers, allocated lazily by
-	// PredictBatchBounds.
-	lbActs, ubActs [][]float64
 }
 
 // NewBatchScratch allocates batch buffers matching the network topology
@@ -157,9 +154,6 @@ type BatchPredictScratch struct {
 	scratches []*BatchScratch
 	member    []float64 // one member's block outputs
 	sum       []float64 // running sum across members
-	// memberUb/sumUb are the bounds-pass buffers, allocated lazily by
-	// PredictBatchBounds (member/sum carry the lower side there).
-	memberUb, sumUb []float64
 }
 
 // NewBatchScratch allocates batched prediction buffers for the ensemble

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -106,101 +105,4 @@ func TestPredictBatchPanics(t *testing.T) {
 	expectPanic("count beyond capacity", func() { one.PredictBatch(make([]float64, 30), 10, s1, make([]float64, 10)) })
 	expectPanic("short input", func() { one.PredictBatch(make([]float64, 5), 4, s1, make([]float64, 4)) })
 	expectPanic("short dst", func() { one.PredictBatch(make([]float64, 12), 4, s1, make([]float64, 2)) })
-}
-
-// TestPredictBatchBounds asserts the bounds pass brackets the exact
-// predictions on random networks (including multi-hidden-layer interval
-// propagation) and that the bracket is tight enough to be useful.
-func TestPredictBatchBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	cases := [][]int{{9, 30, 1}, {5, 12, 6, 1}, {4, 10, 1}}
-	actSets := [][]Activation{
-		{Sigmoid, Linear},
-		{Sigmoid, Tanh, Linear},
-		{Tanh, Linear},
-	}
-	for c, sizes := range cases {
-		for trial := 0; trial < 20; trial++ {
-			net := MustNew(rng, sizes, actSets[c]...)
-			const n = 17
-			xs := randomInputs(rng, n, sizes[0])
-			s := net.NewBatchScratch(n)
-			lb := make([]float64, n)
-			ub := make([]float64, n)
-			net.PredictBatchBounds(xs, n, s, lb, ub)
-			exact := make([]float64, n)
-			net.PredictBatch(xs, n, s, exact)
-			for b := 0; b < n; b++ {
-				if lb[b] > exact[b] || exact[b] > ub[b] {
-					t.Fatalf("sizes %v trial %d sample %d: exact %v outside [%v, %v]",
-						sizes, trial, b, exact[b], lb[b], ub[b])
-				}
-			}
-		}
-	}
-
-	// One-hidden-layer brackets come from exact pre-activations, so the
-	// width is bounded by the activation-table granularity — tight enough
-	// that pruning on it is worthwhile.
-	net := MustNew(rng, []int{9, 30, 1}, Sigmoid, Linear)
-	const n = 64
-	xs := randomInputs(rng, n, 9)
-	s := net.NewBatchScratch(n)
-	lb := make([]float64, n)
-	ub := make([]float64, n)
-	net.PredictBatchBounds(xs, n, s, lb, ub)
-	for b := 0; b < n; b++ {
-		if ub[b]-lb[b] > 0.1 {
-			t.Fatalf("sample %d: bracket width %v too loose for pruning", b, ub[b]-lb[b])
-		}
-	}
-}
-
-// TestEnsemblePredictBatchBounds checks the ensemble-level bracket.
-func TestEnsemblePredictBatchBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	nets := make([]*Network, 5)
-	for i := range nets {
-		nets[i] = MustNew(rng, []int{6, 11, 1}, Sigmoid, Linear)
-	}
-	e := &Ensemble{nets: nets}
-	const n = 40
-	xs := randomInputs(rng, n, 6)
-	ps := e.NewBatchScratch(n)
-	lb := make([]float64, n)
-	ub := make([]float64, n)
-	e.PredictBatchBounds(xs, n, ps, lb, ub)
-	exact := make([]float64, n)
-	e.PredictBatch(xs, n, ps, exact)
-	for b := 0; b < n; b++ {
-		if lb[b] > exact[b] || exact[b] > ub[b] {
-			t.Fatalf("sample %d: exact %v outside [%v, %v]", b, exact[b], lb[b], ub[b])
-		}
-	}
-}
-
-// TestPredictBatchBoundsDegenerateWeights pins crash-safety for diverged
-// models: NaN, ±Inf or astronomically large weights must yield
-// propagated-or-full-range bounds, never a panic (the grid lookup must
-// not overflow its float-to-int conversion).
-func TestPredictBatchBoundsDegenerateWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 9e17, -9e17} {
-		net := MustNew(rng, []int{3, 5, 1}, Sigmoid, Linear)
-		net.weights[0][0] = bad
-		const n = 6
-		xs := randomInputs(rng, n, 3)
-		s := net.NewBatchScratch(n)
-		lb := make([]float64, n)
-		ub := make([]float64, n)
-		net.PredictBatchBounds(xs, n, s, lb, ub) // must not panic
-		for b := 0; b < n; b++ {
-			if math.IsNaN(lb[b]) && math.IsNaN(ub[b]) {
-				continue // NaN propagated like the exact path; acceptable
-			}
-			if lb[b] > ub[b] {
-				t.Fatalf("weight %v sample %d: inverted bounds [%v, %v]", bad, b, lb[b], ub[b])
-			}
-		}
-	}
 }

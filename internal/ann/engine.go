@@ -4,17 +4,18 @@ import "fmt"
 
 // This file defines the pluggable inference-engine boundary: the batched
 // forward pass of a trained ensemble sits behind the Engine interface, so
-// alternative implementations (today the int16 fixed-point engine in
-// quant.go) can drive the prediction stack without forking every caller.
+// alternative implementations (the int16 and int8 fixed-point engines in
+// quant.go and quant8.go) can drive the batch prediction stack without
+// forking every caller.
 //
 // The contract an engine carries is an *error bound*, not bit-identity:
 // Float64Engine is the reference — its PredictBatch is the ensemble's
 // historical float64 path, bit for bit — and every other engine promises
 // |engine output − reference output| ≤ ErrorBound() on the raw
 // (standardised) ensemble output, for inputs within the quantisation
-// domain (see QuantizeInputDomain). PredictBatchBounds must bracket the
-// *reference* prediction, which is what lets a top-M sweep screen with a
-// cheap engine and keep pruning sound against exact scores.
+// domain [QuantInputLo, QuantInputHi]. Top-M screening is not part of
+// the contract: every sweep screens through the int16 QuantSweeper,
+// whichever engine serves batch predictions.
 
 // Engine names accepted by NewEngine (and the daemon's -engine flag).
 const (
@@ -51,11 +52,6 @@ type Engine interface {
 	// sample-major samples in xs to dst[:count]. The result is within
 	// ErrorBound of the reference engine's output.
 	PredictBatch(xs []float64, count int, s EngineScratch, dst []float64)
-	// PredictBatchBounds writes a conservative bracket of the *reference*
-	// (float64) prediction: lb[b] ≤ reference(sample b) ≤ ub[b], up to
-	// ulp-level rounding (callers widen by a margin before acting, as with
-	// Ensemble.PredictBatchBounds).
-	PredictBatchBounds(xs []float64, count int, s EngineScratch, lb, ub []float64)
 	// ErrorBound returns the proven worst-case |engine − reference| on the
 	// raw ensemble output for in-domain inputs; 0 for the reference itself.
 	ErrorBound() float64
@@ -71,8 +67,6 @@ type Q14Engine interface {
 	InputDim() int
 	// PredictBatchQ14 is PredictBatch over pre-quantised Q14 inputs.
 	PredictBatchQ14(qxs []int16, count int, s EngineScratch, dst []float64)
-	// PredictBatchBoundsQ14 is PredictBatchBounds over Q14 inputs.
-	PredictBatchBoundsQ14(qxs []int16, count int, s EngineScratch, lb, ub []float64)
 }
 
 // NewEngine builds the named engine over e. The quantised engines can
@@ -109,12 +103,6 @@ func (f Float64Engine) NewScratch(capacity int) EngineScratch {
 // PredictBatch implements Engine; it IS the reference path.
 func (f Float64Engine) PredictBatch(xs []float64, count int, s EngineScratch, dst []float64) {
 	f.E.PredictBatch(xs, count, s.(*BatchPredictScratch), dst)
-}
-
-// PredictBatchBounds implements Engine via the monotone-table interval
-// pass (see bounds.go).
-func (f Float64Engine) PredictBatchBounds(xs []float64, count int, s EngineScratch, lb, ub []float64) {
-	f.E.PredictBatchBounds(xs, count, s.(*BatchPredictScratch), lb, ub)
 }
 
 // ErrorBound implements Engine: the reference has no error.

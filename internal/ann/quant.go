@@ -17,9 +17,9 @@ import (
 // The engine is only useful because its deviation from the float64
 // reference is *proven*, not estimated. Every error source is bounded at
 // quantise time from the actual weights and composed through the layers
-// (see quantizeNetwork); the resulting bound is what PredictBatchBounds
-// hands the top-M sweep, so pruning against quantised scores can never
-// drop a config the exact engine would have kept.
+// (see quantizeNetwork); the top-M sweep widens its quantised screening
+// scores by the resulting bound (see QuantSweeper), so pruning against
+// them can never drop a config the exact engine would have kept.
 //
 // Error model, per member (all in the raw standardised output space):
 //
@@ -326,14 +326,6 @@ func (q *QuantizedEnsemble) PredictBatch(xs []float64, count int, s EngineScratc
 	q.PredictBatchQ14(qs.qin, count, qs, dst)
 }
 
-// PredictBatchBounds implements Engine: the quantised score bracketed by
-// the proven bound contains the reference prediction.
-func (q *QuantizedEnsemble) PredictBatchBounds(xs []float64, count int, s EngineScratch, lb, ub []float64) {
-	qs := s.(*QuantScratch)
-	q.quantizeInputs(xs, count, qs)
-	q.PredictBatchBoundsQ14(qs.qin, count, qs, lb, ub)
-}
-
 // PredictBatchQ14 is the allocation-free fast path for callers that
 // already hold Q14-quantised features (see tuning.FeatureSchema's Q14
 // encoder): count samples, sample-major, stride InputDim.
@@ -358,7 +350,10 @@ func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, es EngineScr
 	}
 }
 
-// PredictBatchBoundsQ14 is the Q14 fast path of PredictBatchBounds.
+// PredictBatchBoundsQ14 brackets the reference prediction of count
+// pre-quantised samples: the quantised score widened by ErrorBound on
+// both sides. It is the from-scratch reference the incremental
+// QuantSweeper reproduces bit for bit.
 func (q *QuantizedEnsemble) PredictBatchBoundsQ14(qxs []int16, count int, s EngineScratch, lb, ub []float64) {
 	q.PredictBatchQ14(qxs, count, s, lb[:count])
 	for b := 0; b < count; b++ {

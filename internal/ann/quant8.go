@@ -45,11 +45,10 @@ import (
 //
 // The ensemble mean's error is at most the worst member's; a 1e-9
 // absolute slack absorbs the reference path's own float64 rounding
-// versus real arithmetic. The resulting bound is what PredictBatchBounds
-// brackets with. It is an order of magnitude wider than int16's, too
-// wide to prune a trained model's space, so no top-M sweep screens with
-// it: a model viewed on the int8 engine screens through the int16
-// engine over the same weights (see core.Model.WithEngine).
+// versus real arithmetic. The resulting bound is an order of magnitude
+// wider than int16's, too wide to prune a trained model's space, so no
+// top-M sweep screens with it: every sweep screens through the int16
+// sweeper over the same weights (see core.Model.TopM).
 
 const (
 	// q8Max is the int8 weight magnitude cap (Q7: 7 value bits).
@@ -320,14 +319,6 @@ func (q *Quantized8Ensemble) PredictBatch(xs []float64, count int, s EngineScrat
 	q.PredictBatchQ14(qs.qin, count, qs, dst)
 }
 
-// PredictBatchBounds implements Engine: the quantised score bracketed by
-// the proven bound contains the reference prediction.
-func (q *Quantized8Ensemble) PredictBatchBounds(xs []float64, count int, s EngineScratch, lb, ub []float64) {
-	qs := s.(*Quant8Scratch)
-	q.quantizeInputs(xs, count, qs)
-	q.PredictBatchBoundsQ14(qs.qin, count, qs, lb, ub)
-}
-
 // PredictBatchQ14 is the allocation-free fast path for callers that
 // already hold Q14-quantised features: count samples, sample-major,
 // stride InputDim.
@@ -349,16 +340,6 @@ func (q *Quantized8Ensemble) PredictBatchQ14(qxs []int16, count int, es EngineSc
 	inv := 1 / float64(len(q.members))
 	for b := 0; b < count; b++ {
 		dst[b] = sum[b] * inv
-	}
-}
-
-// PredictBatchBoundsQ14 is the Q14 fast path of PredictBatchBounds.
-func (q *Quantized8Ensemble) PredictBatchBoundsQ14(qxs []int16, count int, s EngineScratch, lb, ub []float64) {
-	q.PredictBatchQ14(qxs, count, s, lb[:count])
-	for b := 0; b < count; b++ {
-		v := lb[b]
-		lb[b] = v - q.bound
-		ub[b] = v + q.bound
 	}
 }
 

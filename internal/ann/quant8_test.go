@@ -11,7 +11,7 @@ import (
 // not vacuous: eight-bit weights are coarse, but for the paper-shaped
 // trained model the measured-residual bound must stay well under the
 // target scaler's std, and wider than int16's (which is why the top-M
-// sweep screens int8 views through int16).
+// sweep screens every view through int16).
 func TestInt8EngineBoundIsTight(t *testing.T) {
 	ecs := engineCases(t)
 	trained := ecs[len(ecs)-1].e
@@ -165,18 +165,19 @@ func FuzzInt8WithinBound(f *testing.F) {
 	})
 }
 
-// TestInt8AdmissibleImpliesInt16 pins the admissibility rule the top-M
-// screen relies on: an int8 view screens through the int16 engine over
-// the same weights, so wherever Quantize8Ensemble accepts a network,
-// QuantizeEnsemble must accept it too. int8 refuses a connection weight
-// of magnitude ≥ 8160 (127.5 at the coarsest row scale 2^-6), int16 one
-// above 32767, and both refuse non-finite values; the magnitudes sit on
-// both sides of each limit, in a hidden and in an output row.
+// TestInt8AdmissibleImpliesInt16 pins the two quantisers' connection
+// weight limits: wherever Quantize8Ensemble accepts a network's
+// weights, QuantizeEnsemble accepts them too. int8 refuses a connection
+// weight of magnitude ≥ 8160 (127.5 at the coarsest row scale 2^-6),
+// int16 one above 32767, and both refuse non-finite values; the
+// magnitudes sit on both sides of each limit, in a hidden and in an
+// output row.
 //
 // Biases are outside the rule: int8 stores them at its int32
-// accumulator scale and admits magnitudes int16's range check refuses,
-// so WithEngine(int8) in internal/core reports the int16 error for such
-// a (diverged) model. The last assertion pins that gap.
+// accumulator scale and admits magnitudes int16's range check refuses.
+// The last assertion pins that gap; internal/core's
+// TestInt8EngineNeedsOnlyInt8Quantiser pins that such a model still
+// serves on the int8 engine, its top-M swept without the int16 screen.
 func TestInt8AdmissibleImpliesInt16(t *testing.T) {
 	values := []float64{0.5, 8159, 8159.99, 8160, 8161, 32767, 32767.4, 32768, 1e6,
 		math.NaN(), math.Inf(1), math.Inf(-1)}

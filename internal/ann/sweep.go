@@ -6,10 +6,11 @@ import (
 )
 
 // QuantSweeper is the int16 engine's full-space screening kernel, and
-// the only one: an int8 view screens through its int16 twin. It bounds
-// every configuration of a dense odometer-indexed space in index order,
-// maintaining the first-layer pre-activation accumulators
-// *incrementally* instead of recomputing them per configuration.
+// the only one: every top-M sweep screens through it, whichever engine
+// serves the view's batch predictions. It bounds every configuration of
+// a dense odometer-indexed space in index order, maintaining the
+// first-layer pre-activation accumulators *incrementally* instead of
+// recomputing them per configuration.
 //
 // The space is the cross product of P positions, position p taking
 // arity_p discrete levels; index digits decode most-significant-first

@@ -76,14 +76,8 @@ type Model struct {
 	// engine is the selected inference engine (WithEngine); nil selects
 	// the float64 reference. The scalar Predict path always runs the
 	// reference regardless. The engine drives the batch paths; top-M
-	// screening runs through screen.
+	// screening always runs through the int16 sweeper (see topMSweep).
 	engine ann.Engine
-	// screen is the int16 engine the top-M sweep screens through (see
-	// topMSweep). WithEngine sets it for both quantised engines: int8
-	// bounds are an order of magnitude wider than int16's, too wide to
-	// prune a trained model's space, so an int8 view screens through
-	// its int16 twin. nil screens through the float64 reference.
-	screen *ann.QuantizedEnsemble
 	// q16/q8 are prebuilt quantised engines, populated by the v4 arena
 	// loader so WithEngine installs them without a quantisation pass;
 	// nil means quantise on demand.
@@ -107,55 +101,46 @@ func (m *Model) eng() ann.Engine {
 	return ann.Float64Engine{E: m.ensemble}
 }
 
-// WithEngine returns a view of the model whose batch predictions and
-// top-M sweeps run on the named inference engine (see ann.EngineNames).
+// WithEngine returns a view of the model whose batch predictions run on
+// the named inference engine (see ann.EngineNames).
 // The view shares the trained weights with m; like WithDevice it is
-// cheap and safe to hold per serving context. Selecting the int16 engine
-// can fail: quantisation refuses topologies its error proof does not
-// cover and diverged weight magnitudes.
+// cheap and safe to hold per serving context. Selecting a quantised
+// engine can fail: quantisation refuses topologies its error proof does
+// not cover and diverged weight magnitudes.
 //
 // Engine semantics: batch predictions are within the engine's proven
-// error bound of the reference (bit-identical for the float64 engine),
-// while TopM screens through the int16 engine under either quantised
-// engine — every score that ranks configurations is computed by the
-// exact reference path, so the returned set and order are
-// engine-independent. Selecting int8 therefore needs the int16 engine
-// too, and reports the int16 quantiser's refusal.
+// error bound of the reference (bit-identical for the float64 engine).
+// TopM does not depend on the engine at all: every view screens through
+// the int16 sweeper and ranks only exact reference scores, so the
+// returned set, order and exact-pass count are engine-independent.
 func (m *Model) WithEngine(name string) (*Model, error) {
-	view := *m
-	view.screen = nil
+	var eng ann.Engine
+	var err error
 	switch name {
 	case ann.EngineInt16:
-		q16, err := m.int16Engine()
-		if err != nil {
-			return nil, err
-		}
-		view.engine, view.screen = q16, q16
+		eng, err = m.int16Engine()
 	case ann.EngineInt8:
-		q8, err := m.int8Engine()
-		if err != nil {
-			return nil, err
-		}
-		q16, err := m.int16Engine()
-		if err != nil {
-			return nil, err
-		}
-		view.engine, view.screen = q8, q16
+		eng, err = m.int8Engine()
 	default:
-		eng, err := ann.NewEngine(name, m.ensemble)
-		if err != nil {
-			return nil, err
-		}
-		view.engine = eng
+		eng, err = ann.NewEngine(name, m.ensemble)
 	}
+	if err != nil {
+		return nil, err
+	}
+	view := *m
+	view.engine = eng
 	return &view, nil
 }
 
 // int16Engine returns the prebuilt int16 engine when the model was
-// loaded from a v4 arena, quantising on demand otherwise.
+// loaded from a v4 arena or already runs on it, quantising on demand
+// otherwise.
 func (m *Model) int16Engine() (*ann.QuantizedEnsemble, error) {
 	if m.q16 != nil {
 		return m.q16, nil
+	}
+	if q, ok := m.engine.(*ann.QuantizedEnsemble); ok {
+		return q, nil
 	}
 	return ann.QuantizeEnsemble(m.ensemble)
 }
@@ -344,11 +329,6 @@ type BatchScratch struct {
 	q14   ann.Q14Engine
 	qxs   []int16
 	qtail []int16
-	// sweep is the incremental full-space screening kernel, built for
-	// bound models on the int16 engine (see ann.QuantSweeper); nil
-	// otherwise, falling back to per-index bounds.
-	sweep *ann.QuantSweeper
-	idxs  []int64   // per-block index buffer of the bounds fallback
 	xs    []float64 // block-sample-major encoded features
 	raw   []float64 // raw ensemble outputs for one block
 	block int
@@ -361,8 +341,7 @@ func (m *Model) NewBatchScratch() *BatchScratch {
 }
 
 // newBatchScratchFor allocates a scratch pinned to the given engine; the
-// top-M sweep builds one for the screening engine and one for the exact
-// reference scorer.
+// top-M sweep builds one for the exact reference scorer.
 func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
 	s := &BatchScratch{
 		eng:   eng.NewScratch(predictBlock),
@@ -376,16 +355,6 @@ func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
 		s.qxs = make([]int16, 0, predictBlock*m.schema.Dim())
 		if m.Bound() {
 			s.qtail = m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
-		}
-	}
-	// Only the int16 engine screens (see topMSweep), so only its scratch
-	// carries the incremental sweeper. The sweeper needs the whole
-	// feature layout pinned (positions then tail); a mismatch means the
-	// engine was built for another model, and the per-index fallback
-	// stays correct either way.
-	if q, ok := eng.(*ann.QuantizedEnsemble); ok && m.Bound() {
-		if sw, err := q.NewIndexSweeper(m.schema.Q14Levels(), s.qtail); err == nil {
-			s.sweep = sw
 		}
 	}
 	return s
@@ -454,51 +423,6 @@ func (m *Model) predictEncodedBlock(count int, s *BatchScratch, dst []float64) [
 	return dst
 }
 
-// predictIndexBounds writes conservative raw-output brackets of the
-// *reference* prediction for one block of indices: the screening
-// primitive of the pruned top-M sweep. len(idxs) must be at most
-// s.block.
-func (m *Model) predictIndexBounds(idxs []int64, s *BatchScratch, lb, ub []float64) {
-	n := len(idxs)
-	if s.q14 != nil {
-		s.qxs = s.qxs[:0]
-		for _, idx := range idxs {
-			s.qxs = m.schema.EncodeIndexQ14(idx, s.qtail, s.qxs)
-		}
-		s.q14.PredictBatchBoundsQ14(s.qxs, n, s.eng, lb[:n], ub[:n])
-		return
-	}
-	s.xs = s.xs[:0]
-	for _, idx := range idxs {
-		s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
-	}
-	s.e.PredictBatchBounds(s.xs, n, s.eng, lb[:n], ub[:n])
-}
-
-// boundIndexRange is predictIndexBounds over the n sequential indices
-// starting at start: the screening shape of the top-M sweep. On the
-// int16 engine it runs the incremental sweeper — the first layer's
-// pre-activations update in place as the index odometer turns, so the
-// per-config cost collapses to the sigmoid lookups and the output dot —
-// and forwards the pruning ceiling: entries (or whole subtrees) the
-// sweeper proves above ceil come back as +Inf instead of being finished.
-// The per-index fallback ignores ceil, which is always sound (it only
-// bounds tighter than required). n must be at most s.block.
-func (m *Model) boundIndexRange(start int64, n int, s *BatchScratch, lb, ub []float64, ceil float64) {
-	if s.sweep != nil {
-		s.sweep.BoundsCeil(start, n, lb[:n], ub[:n], ceil)
-		return
-	}
-	if s.idxs == nil {
-		s.idxs = make([]int64, 0, s.block)
-	}
-	s.idxs = s.idxs[:0]
-	for idx := start; idx < start+int64(n); idx++ {
-		s.idxs = append(s.idxs, idx)
-	}
-	m.predictIndexBounds(s.idxs, s, lb, ub)
-}
-
 // Predicted pairs a configuration index with its predicted time.
 type Predicted struct {
 	Index   int64
@@ -520,28 +444,30 @@ func (p Predicted) less(q Predicted) bool {
 // execution time for all possible configurations" step — and returns the
 // M configurations with the lowest predicted times, best first (ties
 // broken towards the lower index). Each worker screens its partition in
-// blocks through a bounds pass (the int16 sweeper under either quantised
-// engine, the reference otherwise) and feeds a bounded top-heap; only
-// configurations whose conservative lower bound could still beat the
-// heap's worst entry pay the exact reference forward pass. The heap never holds an engine-approximated score — every value
-// that ranks configurations is exact — so the returned set and order
-// are identical under every engine and every worker count: pruning
-// never changes emitted values (a pruned configuration provably loses
-// to M already-seen ones), block predictions are bit-identical to the
-// scalar path, and the (Seconds, Index) order is total.
+// blocks through the int16 sweeper, whichever engine the view selected,
+// and feeds a bounded top-heap; only configurations whose conservative
+// lower bound could still beat the heap's worst entry pay the exact
+// reference forward pass. The heap never holds an approximated score —
+// every value that ranks configurations is exact — so the returned set
+// and order are identical under every engine and every worker count:
+// pruning never changes emitted values (a pruned configuration provably
+// loses to M already-seen ones), block predictions are bit-identical to
+// the scalar path, and the (Seconds, Index) order is total. A model the
+// int16 quantiser refuses is scored exactly in full: same answer, no
+// pruning.
 func (m *Model) TopM(M int) []Predicted {
 	top, _ := m.topMSweep(M, runtime.GOMAXPROCS(0), nil)
 	return top
 }
 
-// predictBoundMargin widens the bounds pass's lower bound before it is
-// compared against the heap: the ann bound tables are only valid up to
-// ulp-level activation rounding (see internal/ann/bounds.go), so the
-// margin — many orders above any accumulated ulp error, many below any
-// meaningful time difference — keeps pruning strictly conservative.
+// predictBoundMargin widens the screen's lower bound before it is
+// compared against the heap: slack on top of the int16 bracket's own
+// allowance for the reference path's float64 rounding, many orders below
+// any meaningful time difference, so pruning stays strictly
+// conservative.
 const predictBoundMargin = 1e-9
 
-// canPrune reports whether the bound pass's ordering argument holds:
+// canPrune reports whether the screen's ordering argument holds:
 // finish must be monotone, which needs a positive target-scale. Trained
 // and persisted models always qualify (FitTargetScaler returns a
 // positive Std); this guards hand-built models in tests and experiments.
@@ -564,6 +490,23 @@ func (m *Model) rawCeil(secs float64) float64 {
 	}
 	y = (y - m.scaler.Mean) / m.scaler.Std
 	return y + 1e-9*(1+math.Abs(y))
+}
+
+// screenEngine returns the int16 engine the top-M sweep screens through
+// and the bound tail in Q14, or a nil engine when no screen is sound: the
+// quantiser refuses the model, or a tail feature leaves the input domain
+// the int16 error bound is proven on.
+func (m *Model) screenEngine() (*ann.QuantizedEnsemble, []int16) {
+	for _, v := range m.tail {
+		if !(v >= ann.QuantInputLo && v <= ann.QuantInputHi) {
+			return nil, nil
+		}
+	}
+	q, err := m.int16Engine()
+	if err != nil {
+		return nil, nil
+	}
+	return q, m.schema.QuantizeTailQ14(m.tail, nil)
 }
 
 // mustBeBound panics when a portable model is asked to predict without
@@ -611,12 +554,12 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 	chunk := (size + int64(workers) - 1) / int64(workers)
 
 	// The heap only ever ranks exact scores, so the exact pass always
-	// runs the float64 reference. Screening runs through m.screen when
-	// WithEngine set one, otherwise through the reference itself. Every
-	// screen's bracket contains the reference prediction, so the choice
-	// cannot change the result set — only how much of the space pays an
-	// exact score.
-	refEngine := ann.Float64Engine{E: m.ensemble}
+	// runs the float64 reference. Screening runs through the int16
+	// sweeper whatever the view's engine; its bracket contains the
+	// reference prediction, so it cannot change the result set — only
+	// how much of the space pays an exact score. Without a screen every
+	// configuration is scored exactly.
+	screen, qtail := m.screenEngine()
 
 	// Seed indices are excluded from the partition scan below — each
 	// already sits in every heap with its exact score, and offering an
@@ -656,17 +599,18 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 			if hi > size {
 				hi = size
 			}
-			exact := m.newBatchScratchFor(refEngine)
-			screen := exact
-			if m.screen != nil {
-				screen = m.newBatchScratchFor(m.screen)
+			exact := m.newRefBatchScratch()
+			var sweep *ann.QuantSweeper
+			if screen != nil {
+				// A layout the sweeper rejects only loses pruning.
+				sweep, _ = screen.NewIndexSweeper(m.schema.Q14Levels(), qtail)
 			}
 			idxs := make([]int64, 0, exact.block)
 			preds := make([]float64, 0, exact.block)
 			lb := make([]float64, exact.block)
 			ub := make([]float64, exact.block)
 			survivors := make([]int64, 0, exact.block)
-			prune := m.canPrune()
+			prune := sweep != nil && m.canPrune()
 			var scored int64
 			best := newTopHeap(M)
 			for _, p := range seeds {
@@ -701,7 +645,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 					// ceil, the test needs lb − margin > rawWorst to reject,
 					// and the margin towers over every rounding step between
 					// the two expressions.
-					m.boundIndexRange(blockLo, n, screen, lb, ub, rawWorst+2*predictBoundMargin)
+					sweep.BoundsCeil(blockLo, n, lb, ub, rawWorst+2*predictBoundMargin)
 					survivors = survivors[:0]
 					for k := 0; k < n; k++ {
 						idx := blockLo + int64(k)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ann"
 	"repro/internal/bench"
 	"repro/internal/devsim"
+	"repro/internal/tuning"
 )
 
 // engineView returns the model re-engined under name, failing the test if
@@ -260,25 +261,146 @@ func TestTopMIncrementalInt16Engine(t *testing.T) {
 	}
 }
 
-// TestInt8ScreensThroughInt16 pins the screen rule: an int8 view screens
-// through the int16 engine, so its sweep pays exactly the int16 view's
-// exact forward passes and returns the same answer.
-func TestInt8ScreensThroughInt16(t *testing.T) {
+// TestTopMScreenIsEngineIndependent pins the screen rule: every view
+// screens through the int16 sweeper whatever its engine, so each view's
+// sweep pays exactly the trained model's exact forward passes and returns
+// the same answer.
+func TestTopMScreenIsEngineIndependent(t *testing.T) {
 	const M = 50
 	m := trainedTestModel(t)
-	q16 := engineView(t, m, ann.EngineInt16).TopMIncremental(M, nil)
-	q8 := engineView(t, m, ann.EngineInt8).TopMIncremental(M, nil)
-	if q8.Scored != q16.Scored {
-		t.Fatalf("int8 view scored %d configs, int16 view %d: the int8 view is not screening through int16",
-			q8.Scored, q16.Scored)
+	want := m.TopMIncremental(M, nil)
+	if want.Scored >= m.Space().Size() {
+		t.Fatalf("trained model scored %d of %d configs: the screen pruned nothing", want.Scored, m.Space().Size())
 	}
-	if !samePredicted(q8.Top, q16.Top) {
-		t.Fatal("int8 and int16 views returned different top-M sets")
+	for _, name := range ann.EngineNames() {
+		got := engineView(t, m, name).TopMIncremental(M, nil)
+		if got.Scored != want.Scored {
+			t.Errorf("%s view scored %d configs, the trained model %d", name, got.Scored, want.Scored)
+		}
+		if !samePredicted(got.Top, want.Top) {
+			t.Errorf("%s view returned a different top-M set", name)
+		}
 	}
-	// Re-engining a quantised view back to the reference drops the screen.
-	ref := engineView(t, engineView(t, m, ann.EngineInt8), ann.EngineFloat64)
-	if got, want := ref.TopMIncremental(M, nil).Scored, m.TopMIncremental(M, nil).Scored; got != want {
-		t.Fatalf("float64 view of an int8 view scored %d configs, the reference %d", got, want)
+}
+
+// withEnsemble returns m over a modified copy of its ensemble: edit gets
+// the exported state and changes it in place.
+func withEnsemble(t *testing.T, m *Model, edit func(st *ann.EnsembleState)) *Model {
+	t.Helper()
+	st := m.ensemble.State()
+	edit(&st)
+	e, err := ann.EnsembleFromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := *m
+	out.ensemble, out.engine, out.q16, out.q8 = e, ann.Float64Engine{E: e}, nil, nil
+	return &out
+}
+
+// TestTopMFallsBackWhenInt16Refuses pins the fallback: a model the int16
+// quantiser refuses (here one hidden weight of 1e6) cannot be screened,
+// so the sweep scores every configuration exactly and still returns the
+// specification's answer.
+func TestTopMFallsBackWhenInt16Refuses(t *testing.T) {
+	const M = 50
+	m := withEnsemble(t, trainedTestModel(t), func(st *ann.EnsembleState) {
+		st.Nets[0].Weights[0][1] = 1e6
+	})
+	_, qerr := ann.QuantizeEnsemble(m.ensemble)
+	if qerr == nil {
+		t.Fatal("int16 quantiser accepted a 1e6 hidden weight")
+	}
+	if _, err := m.WithEngine(ann.EngineInt16); err == nil || err.Error() != qerr.Error() {
+		t.Fatalf("WithEngine(int16) err %v, want the quantiser's %v", err, qerr)
+	}
+	got := m.TopMIncremental(M, nil)
+	if !samePredicted(got.Top, bruteTopM(m, M)) {
+		t.Fatal("unscreened sweep differs from the scalar specification")
+	}
+	if got.Scored != m.Space().Size() {
+		t.Fatalf("unscreened sweep scored %d configs, want all %d", got.Scored, m.Space().Size())
+	}
+}
+
+// TestTopMUnscreenedOutsideQuantDomain pins the other fallback: a bound
+// device feature outside [QuantInputLo, QuantInputHi] leaves the domain
+// the int16 error bound is proven on (the Q14 encoder clamps it), so the
+// sweep scores every configuration exactly instead of trusting the
+// screen. The hand-built model makes a trusted screen fail: its one
+// sigmoid unit reads the first parameter x and device feature d,
+// predicting −σ(1.5x + d − 4). Bound at d = 4, the best configurations
+// (largest x) come last and predict −σ(1.5) ≈ −0.82; the screen sees
+// d clamped to 2 and brackets them near −σ(−0.5) ≈ −0.38, above the
+// −0.5 the first block (x = 0) already put in the heap.
+func TestTopMUnscreenedOutsideQuantDomain(t *testing.T) {
+	space := tuning.NewSpace("clamp",
+		tuning.Pow2Param("x", 1, 128),    // 8, most significant
+		tuning.Pow2Param("y", 1, 128),    // 8
+		tuning.NewParam("a", 1, 2, 3, 4), // 4
+		tuning.Pow2Param("w", 1, 8),      // 4
+		tuning.BoolParam("z"),            // 2: 256 configs per x
+	)
+	schema := tuning.NewFeatureSchema(space, tuning.WithDeviceBlock())
+	params := len(space.Params())
+	hidden := make([]float64, schema.Dim()+1)
+	hidden[0] = 1.5            // x
+	hidden[params] = 1         // first device feature
+	hidden[len(hidden)-1] = -4 // bias
+	e, err := ann.EnsembleFromState(ann.EnsembleState{Nets: []ann.NetworkState{{
+		Sizes:   []int{schema.Dim(), 1, 1},
+		Acts:    []string{"sigmoid", "linear"},
+		Weights: [][]float64{hidden, {-1, 0}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Model{space: space, schema: schema, ensemble: e, scaler: ann.TargetScaler{Mean: 0, Std: 1}}
+	device := make([]float64, schema.TailDim())
+	device[0] = 2 * ann.QuantInputHi
+	bound, err := m.WithDevice(device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const M = 10
+	got := bound.TopMIncremental(M, nil)
+	if !samePredicted(got.Top, bruteTopM(bound, M)) {
+		t.Fatal("out-of-domain sweep differs from the scalar specification")
+	}
+	if got.Scored != space.Size() {
+		t.Fatalf("out-of-domain binding scored %d configs, want all %d", got.Scored, space.Size())
+	}
+}
+
+// TestInt8EngineNeedsOnlyInt8Quantiser pins the decoupling of the int8
+// engine from the screen: a hidden bias of 40000 is inside int8's int32
+// accumulator range but outside int16's, so WithEngine(int8) succeeds and
+// the sweep, unscreened, still returns the specification's answer.
+func TestInt8EngineNeedsOnlyInt8Quantiser(t *testing.T) {
+	space := tuning.NewSpace("bias",
+		tuning.Pow2Param("x", 1, 128), // 8
+		tuning.Pow2Param("y", 1, 64),  // 7
+		tuning.NewParam("a", 1, 2, 3), // 3
+	)
+	schema := tuning.ParamSchema(space)
+	if schema.Dim() != 3 {
+		t.Fatalf("schema width %d, want 3", schema.Dim())
+	}
+	st := ann.MustNew(rand.New(rand.NewSource(5)), []int{3, 4, 1}, ann.Sigmoid, ann.Linear).State()
+	st.Weights[0][3] = 40000 // hidden row 0's bias slot
+	e, err := ann.EnsembleFromState(ann.EnsembleState{Nets: []ann.NetworkState{st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Model{space: space, schema: schema, ensemble: e,
+		scaler: ann.TargetScaler{Mean: 0, Std: 1}, logT: true}
+	if _, err := m.WithEngine(ann.EngineInt16); err == nil {
+		t.Fatal("int16 quantiser accepted a bias of 40000")
+	}
+	q8 := engineView(t, m, ann.EngineInt8)
+	const M = 20
+	if !samePredicted(q8.TopM(M), bruteTopM(m, M)) {
+		t.Fatal("int8 view's top-M differs from the scalar specification")
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // engine and checks the serving contract: the engine in effect shows up
 // in /v1/stats and /v1/models, predictions stay sane, and the top-M
 // answer — set, order and exact seconds — is identical across engines,
-// because engines only ever screen the sweep while the result heap
-// holds float-reference scores.
+// because every sweep screens through the int16 sweeper and the result
+// heap holds float-reference scores.
 func TestEngineOptionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	reg, err := OpenRegistry(dir)
