@@ -27,22 +27,9 @@ func (n *Network) State() NetworkState {
 	return st
 }
 
-// NetworkFromState reconstructs a network from exported state,
-// validating the topology against the weight shapes.
-func NetworkFromState(st NetworkState) (*Network, error) {
-	return networkFromState(st, false)
-}
-
-// NetworkFromStateShared is NetworkFromState without the defensive
-// weight copies: the network aliases st's weight slices directly. The
-// v4 arena loader uses it to serve straight out of a read-only memory
-// mapping — the result must never be mutated or trained (a write to
-// mapped weights faults), and the caller owns keeping the backing
-// store alive.
-func NetworkFromStateShared(st NetworkState) (*Network, error) {
-	return networkFromState(st, true)
-}
-
+// networkFromState reconstructs a network from exported state,
+// validating the topology against the weight shapes. With share set the
+// network aliases st's weight slices instead of copying them.
 func networkFromState(st NetworkState, share bool) (*Network, error) {
 	if len(st.Sizes) < 2 {
 		return nil, fmt.Errorf("ann: state has %d layer sizes, need at least 2", len(st.Sizes))
@@ -100,9 +87,11 @@ func EnsembleFromState(st EnsembleState) (*Ensemble, error) {
 }
 
 // EnsembleFromStateShared reconstructs an ensemble whose member
-// networks alias st's weight slices in place (see
-// NetworkFromStateShared); hold pins the slices' backing store — e.g. a
-// mmapx mapping — for the ensemble's lifetime.
+// networks alias st's weight slices in place, without the defensive
+// copies; hold pins the slices' backing store — e.g. a mmapx mapping —
+// for the ensemble's lifetime. The v4 arena loader uses it to serve
+// straight out of a read-only memory mapping: the result must never be
+// mutated or trained (a write to mapped weights faults).
 func EnsembleFromStateShared(st EnsembleState, hold any) (*Ensemble, error) {
 	return ensembleFromState(st, true, hold)
 }

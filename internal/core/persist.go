@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
@@ -16,7 +15,7 @@ import (
 
 // modelFormat identifies the on-disk model format: a single JSON header
 // line (human-inspectable with `head -1`) followed by a versioned body.
-// Three header versions are in circulation:
+// Four header versions are in circulation:
 //
 //	version 1 — the original parameter-only layout: the header carries
 //	  the tuning space and model flags, the body is a gob payload; the
@@ -40,12 +39,12 @@ import (
 //	  install cost is O(1) in model size, and selecting the int16/int8
 //	  engine skips the quantisation pass.
 //
-// Save writes version 4 for every model except one case: a model loaded
-// from a v3 file re-saves as byte-identical v3, so replica fan-out of
-// an existing artifact never rewrites history. Every v1–v3 artifact
-// still loads through the version-keyed decoder table. LoadModel
-// returns *UnsupportedVersionError for anything newer than
-// maxModelVersion.
+// Save writes version 4 for every model, whatever version it was loaded
+// from; the re-saved artifact predicts bit-identically. Every v1–v4
+// artifact still loads through one path: LoadModelBytes parses the
+// header, rebuilds the schema (decodeSchema) and decodes the body by
+// version. Loading returns *UnsupportedVersionError for anything newer
+// than maxModelVersion.
 const (
 	modelFormat     = "mltune-model"
 	modelVersion    = 1
@@ -56,7 +55,7 @@ const (
 )
 
 // UnsupportedVersionError reports a model file written by a newer build:
-// its header version is not in this build's decoder table.
+// its header version is outside the range this build decodes.
 type UnsupportedVersionError struct {
 	// Version is the file's header version.
 	Version int
@@ -111,25 +110,20 @@ type modelPayload struct {
 
 // Save writes the model to w in the versioned persistence format: a
 // one-line JSON header followed by the version-4 arena body (see
-// persistbin4.go) — or, for a model loaded from a v3 file, the
-// byte-identical version-3 body it came from. Writing is deterministic
-// byte for byte, and a model saved on one machine reloads with
-// LoadModel to bit-identical predictions. Saving a bound portable view
-// persists the portable model; the binding — like the engine selection
-// — is per-process state, re-established with WithDevice/WithEngine
-// after loading.
+// persistbin4.go), whatever version the model was loaded from. Writing
+// is deterministic byte for byte, and a model saved on one machine
+// reloads with LoadModel to bit-identical predictions. Saving a bound
+// portable view persists the portable model; the binding — like the
+// engine selection — is per-process state, re-established with
+// WithDevice/WithEngine after loading.
 func (m *Model) Save(w io.Writer) error {
 	params := make([]paramHeader, len(m.space.Params()))
 	for i, p := range m.space.Params() {
 		params[i] = paramHeader{Name: p.Name, Values: append([]int(nil), p.Values...)}
 	}
-	version := modelVersionV4
-	if m.persistVersion == modelVersionV3 {
-		version = modelVersionV3
-	}
 	hdr := modelHeader{
 		Format:       modelFormat,
-		Version:      version,
+		Version:      modelVersionV4,
 		Space:        spaceHeader{Name: m.space.Name(), Params: params},
 		LogTransform: m.logT,
 		Members:      m.ensemble.Size(),
@@ -144,19 +138,14 @@ func (m *Model) Save(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding model header: %w", err)
 	}
-	if version == modelVersionV4 {
-		// Space-pad the header so the body starts at a 64-byte file
-		// offset: every v4 section payload then lands cache-line aligned
-		// in a memory mapping (JSON ignores trailing whitespace).
-		for (len(line)+1)%binAlign4 != 0 {
-			line = append(line, ' ')
-		}
+	// Space-pad the header so the body starts at a 64-byte file offset:
+	// every v4 section payload then lands cache-line aligned in a memory
+	// mapping (JSON ignores trailing whitespace).
+	for (len(line)+1)%binAlign4 != 0 {
+		line = append(line, ' ')
 	}
 	if _, err := w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: writing model header: %w", err)
-	}
-	if version == modelVersionV3 {
-		return writeBinaryPayload(w, m.scaler, m.ensemble.State())
 	}
 	// Engine tables ride along when the ensemble quantises; refusals
 	// (diverged magnitudes, uncovered topologies) degrade to a v4 file
@@ -190,32 +179,19 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// modelDecoders maps a header version to its schema decoder: given the
-// parsed header and rebuilt space, it produces the feature schema that
-// version implies. The payload decoding is shared. Adding a version
-// means adding an entry here, never editing the old ones.
-var modelDecoders = map[int]func(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchema, error){
-	modelVersion:   decodeSchemaV1,
-	modelVersionV2: decodeSchemaV2,
-	// v3 and v4 changed the body encoding, not the header schema
-	// semantics.
-	modelVersionV3: decodeSchemaV2,
-	modelVersionV4: decodeSchemaV2,
-}
-
-// decodeSchemaV1 is the original layout: parameter-only features.
-func decodeSchemaV1(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchema, error) {
-	if hdr.Schema != nil {
+// decodeSchema rebuilds the feature schema a header implies. Version 1
+// is parameter-only; from version 2 on the header records the blocks
+// beyond the parameters, and the device block is verified against this
+// build's feature derivation.
+func decodeSchema(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchema, error) {
+	if hdr.Schema == nil {
+		return tuning.ParamSchema(space), nil
+	}
+	if hdr.Version == modelVersion {
 		return nil, fmt.Errorf("core: version-1 model header unexpectedly carries a schema")
 	}
-	return tuning.ParamSchema(space), nil
-}
-
-// decodeSchemaV2 rebuilds the recorded blocks, verifying the device
-// block against this build's feature derivation.
-func decodeSchemaV2(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchema, error) {
 	var opts []tuning.SchemaOption
-	if hdr.Schema != nil && len(hdr.Schema.Device) > 0 {
+	if len(hdr.Schema.Device) > 0 {
 		want := tuning.DeviceFieldNames()
 		if len(hdr.Schema.Device) != len(want) {
 			return nil, fmt.Errorf("core: saved model records %d device features, this build derives %d",
@@ -229,80 +205,24 @@ func decodeSchemaV2(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchem
 		}
 		opts = append(opts, tuning.WithDeviceBlock())
 	}
-	if hdr.Schema != nil && len(hdr.Schema.Input) > 0 {
+	if len(hdr.Schema.Input) > 0 {
 		opts = append(opts, tuning.WithInputBlock(hdr.Schema.Input...))
 	}
 	return tuning.NewFeatureSchema(space, opts...), nil
 }
 
-// LoadModel reads a model previously written by Model.Save, dispatching
-// on the header version (see modelFormat). The tuning space and feature
-// schema are rebuilt from the header, so the loaded model predicts over
-// an equivalent space without needing the original benchmark definition.
-// Files written by a newer build fail with *UnsupportedVersionError.
+// LoadModel reads a model previously written by Model.Save: it reads r
+// to the end and loads the image with LoadModelBytes. The tuning space
+// and feature schema are rebuilt from the header, so the loaded model
+// predicts over an equivalent space without needing the original
+// benchmark definition. Files written by a newer build fail with
+// *UnsupportedVersionError.
 func LoadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading model header: %w", err)
+		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	var hdr modelHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("core: parsing model header: %w", err)
-	}
-	if hdr.Format != modelFormat {
-		return nil, fmt.Errorf("core: not a saved model (format %q, want %q)", hdr.Format, modelFormat)
-	}
-	decodeSchema, ok := modelDecoders[hdr.Version]
-	if !ok {
-		return nil, &UnsupportedVersionError{Version: hdr.Version, Max: maxModelVersion}
-	}
-	space, err := spaceFromHeader(hdr.Space)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := decodeSchema(&hdr, space)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Version >= modelVersionV4 {
-		body, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading v4 model body: %w", err)
-		}
-		return finishLoadV4(&hdr, space, schema, body, nil)
-	}
-	var scaler ann.TargetScaler
-	var state ann.EnsembleState
-	if hdr.Version >= modelVersionV3 {
-		scaler, state, err = readBinaryPayload(br, hdr.Members)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var payload modelPayload
-		if err := gob.NewDecoder(br).Decode(&payload); err != nil {
-			return nil, fmt.Errorf("core: decoding model payload: %w", err)
-		}
-		scaler, state = payload.Scaler, payload.Ensemble
-	}
-	ensemble, err := ann.EnsembleFromState(state)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{
-		space:          space,
-		schema:         schema,
-		ensemble:       ensemble,
-		scaler:         scaler,
-		logT:           hdr.LogTransform,
-		engine:         ann.Float64Engine{E: ensemble},
-		persistVersion: hdr.Version,
-	}
-	if err := m.checkEnsembleWidth(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return LoadModelBytes(data, nil)
 }
 
 // checkEnsembleWidth verifies the ensemble input width against the
@@ -318,37 +238,14 @@ func (m *Model) checkEnsembleWidth() error {
 	return nil
 }
 
-// finishLoadV4 assembles a Model from a decoded v4 arena body.
-func finishLoadV4(hdr *modelHeader, space *tuning.Space, schema *tuning.FeatureSchema, body []byte, arena *mmapx.Data) (*Model, error) {
-	d, err := decodeBinaryPayloadV4(body, hdr.Members, arena)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{
-		space:          space,
-		schema:         schema,
-		ensemble:       d.ensemble,
-		scaler:         d.scaler,
-		logT:           hdr.LogTransform,
-		engine:         ann.Float64Engine{E: d.ensemble},
-		q16:            d.q16,
-		q8:             d.q8,
-		arena:          arena,
-		persistVersion: modelVersionV4,
-	}
-	if err := m.checkEnsembleWidth(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// LoadModelBytes loads a model from an in-memory file image — the
-// zero-copy install path. For a v4 image the returned model's weights
-// and engine tables alias data in place (no decode pass, O(1) in model
+// LoadModelBytes loads a model from an in-memory file image, dispatching
+// on the header version (see modelFormat) — the one load path every
+// entry point shares. For a v4 image the returned model's weights and
+// engine tables alias data in place (no decode pass, O(1) in model
 // size); arena, when non-nil, is the memory mapping backing data and is
 // pinned by the model for its lifetime. Older versions decode by
-// copying exactly like LoadModel, and arena may then be closed by the
-// caller once LoadModelBytes returns.
+// copying, and arena may then be closed by the caller once
+// LoadModelBytes returns.
 func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -361,21 +258,58 @@ func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 	if hdr.Format != modelFormat {
 		return nil, fmt.Errorf("core: not a saved model (format %q, want %q)", hdr.Format, modelFormat)
 	}
-	if _, ok := modelDecoders[hdr.Version]; !ok {
+	if hdr.Version < modelVersion || hdr.Version > maxModelVersion {
 		return nil, &UnsupportedVersionError{Version: hdr.Version, Max: maxModelVersion}
-	}
-	if hdr.Version < modelVersionV4 {
-		return LoadModel(bytes.NewReader(data))
 	}
 	space, err := spaceFromHeader(hdr.Space)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := modelDecoders[hdr.Version](&hdr, space)
+	schema, err := decodeSchema(&hdr, space)
 	if err != nil {
 		return nil, err
 	}
-	return finishLoadV4(&hdr, space, schema, data[nl+1:], arena)
+	body := data[nl+1:]
+	var d *decodedBody
+	if hdr.Version >= modelVersionV3 {
+		d, err = decodeBinaryPayload(body, hdr.Version, hdr.Members, arena)
+	} else {
+		d, err = decodeGobPayload(body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{
+		space:          space,
+		schema:         schema,
+		ensemble:       d.ensemble,
+		scaler:         d.scaler,
+		logT:           hdr.LogTransform,
+		engine:         ann.Float64Engine{E: d.ensemble},
+		q16:            d.q16,
+		q8:             d.q8,
+		persistVersion: hdr.Version,
+	}
+	if hdr.Version == modelVersionV4 {
+		m.arena = arena
+	}
+	if err := m.checkEnsembleWidth(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeGobPayload decodes a v1/v2 gob body.
+func decodeGobPayload(body []byte) (*decodedBody, error) {
+	var payload modelPayload
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload); err != nil {
+		return nil, fmt.Errorf("core: decoding model payload: %w", err)
+	}
+	ensemble, err := ann.EnsembleFromState(payload.Ensemble)
+	if err != nil {
+		return nil, err
+	}
+	return &decodedBody{scaler: payload.Scaler, ensemble: ensemble}, nil
 }
 
 // LoadModelFile loads a model from the named file (see LoadModel),

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -46,7 +49,7 @@ func saveLegacyModel(w io.Writer, m *Model, version int) error {
 }
 
 // goldenPortableModel trains the deterministic portable model behind the
-// v2 and v3 golden files.
+// v2, v3 and v4 golden files.
 func goldenPortableModel(t *testing.T) *Model {
 	t.Helper()
 	space := goldenSpace()
@@ -171,25 +174,15 @@ func TestGoldenV2ModelBitIdentical(t *testing.T) {
 	checkGoldenPredictions(t, model, readGoldenPredictions(t, predPath))
 }
 
-// TestGoldenV3ModelBitIdentical pins the binary layout itself: the
-// committed artifact must load bit-identically AND be byte-identical to
-// what Save emits for the same model, so the writer cannot drift
-// silently.
+// TestGoldenV3ModelBitIdentical pins the retired binary layout: Save
+// no longer writes v3, so the committed artifact is frozen (no -update
+// path) and must keep loading bit-identically. Re-saving the loaded
+// model writes a v4 artifact that reproduces the same golden
+// predictions and weights.
 func TestGoldenV3ModelBitIdentical(t *testing.T) {
-	modelPath := filepath.Join("testdata", "golden_v3.mlt")
-	predPath := filepath.Join("testdata", "golden_v3_predictions.json")
-
-	if *updateGolden {
-		model := goldenPortableModel(t)
-		if err := model.SaveFile(modelPath); err != nil {
-			t.Fatal(err)
-		}
-		writeGoldenPredictions(t, predPath, goldenBoundPredictions(t, model))
-	}
-
-	raw, err := os.ReadFile(modelPath)
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v3.mlt"))
 	if err != nil {
-		t.Fatalf("golden model missing (regenerate with -update): %v", err)
+		t.Fatal(err)
 	}
 	nl := bytes.IndexByte(raw, '\n')
 	var hdr struct {
@@ -212,16 +205,54 @@ func TestGoldenV3ModelBitIdentical(t *testing.T) {
 	if model.WeightFormat() != 3 {
 		t.Fatalf("WeightFormat() = %d, want 3", model.WeightFormat())
 	}
-	checkGoldenPredictions(t, model, readGoldenPredictions(t, predPath))
+	preds := readGoldenPredictions(t, filepath.Join("testdata", "golden_v3_predictions.json"))
+	checkGoldenPredictions(t, model, preds)
 
-	// Byte-stability: re-saving the loaded model reproduces the artifact
-	// exactly.
+	// Re-saving writes the current format, with the same weights and
+	// the same golden predictions.
 	var out bytes.Buffer
 	if err := model.Save(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), raw) {
-		t.Fatal("re-saved v3 model differs from the committed golden bytes")
+	resaved, err := LoadModelBytes(out.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resaved.WeightFormat() != 4 {
+		t.Fatalf("re-saved v3 model has WeightFormat() = %d, want 4", resaved.WeightFormat())
+	}
+	if got, want := resaved.ensemble.MemberFingerprints(nil), model.ensemble.MemberFingerprints(nil); !slices.Equal(got, want) {
+		t.Fatalf("re-saved member fingerprints %x, v3-loaded %x", got, want)
+	}
+	checkGoldenPredictions(t, resaved, preds)
+}
+
+// TestTrainingReproducesGoldenWeights pins training itself: retraining
+// the golden models reproduces the weights committed in the v1 and v4
+// golden files bit for bit. A deliberate training change re-pins them
+// by regenerating the goldens with -update (this test then skips).
+func TestTrainingReproducesGoldenWeights(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("training bit-identity is pinned on amd64 only: the Go compiler may fuse multiply-adds on %s", runtime.GOARCH)
+	}
+	if *updateGolden {
+		t.Skip("golden files are being regenerated from this build's training")
+	}
+	for _, c := range []struct {
+		file  string
+		train func(*testing.T) *Model
+	}{
+		{"golden_v1.mlt", goldenModel},
+		{"golden_v4.mlt", goldenPortableModel},
+	} {
+		golden, err := LoadModelFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := golden.ensemble.MemberFingerprints(nil)
+		if got := c.train(t).ensemble.MemberFingerprints(nil); !slices.Equal(got, want) {
+			t.Errorf("%s: retrained member fingerprints %x, golden %x", c.file, got, want)
+		}
 	}
 }
 
@@ -230,6 +261,88 @@ func TestGoldenV3ModelBitIdentical(t *testing.T) {
 func TestWeightFormatFreshModel(t *testing.T) {
 	if got := goldenModel(t).WeightFormat(); got != maxModelVersion {
 		t.Fatalf("WeightFormat() = %d, want %d", got, maxModelVersion)
+	}
+}
+
+// v3SectionBoundaries returns the file offsets in a v3 artifact where
+// its body starts, its magic ends, and each section's header and padded
+// payload end.
+func v3SectionBoundaries(tb testing.TB, file []byte) []int {
+	tb.Helper()
+	start := bytes.IndexByte(file, '\n') + 1
+	cuts := []int{start, start + binAlign3}
+	for off := start + binAlign3; off < len(file); {
+		if off+binAlign3 > len(file) {
+			tb.Fatalf("v3 artifact ends inside a section header at %d", off)
+		}
+		length := int(binary.LittleEndian.Uint32(file[off+4:]))
+		off += binAlign3
+		cuts = append(cuts, off)
+		off += length + (binAlign3-length%binAlign3)%binAlign3
+		cuts = append(cuts, off)
+	}
+	return cuts
+}
+
+// appendSection appends one section to a v3/v4 body: an align-byte
+// header, the payload, and zero padding to the next align boundary.
+func appendSection(body []byte, tag string, payload []byte, align int) []byte {
+	hdr := make([]byte, align)
+	copy(hdr, tag)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
+	body = append(append(body, hdr...), payload...)
+	for len(body)%align != 0 {
+		body = append(body, 0)
+	}
+	return body
+}
+
+// TestSectionWalkerRejectsTruncation pins the shared section walker
+// against both binary versions: every cut of a golden body that does not
+// end on a section boundary is rejected, including a cut inside the
+// trailing pad of the last section.
+func TestSectionWalkerRejectsTruncation(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		magic [8]byte
+		align int
+	}{
+		{"golden_v3.mlt", binMagic, binAlign3},
+		{"golden_v4.mlt", binMagic4, binAlign4},
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := bytes.IndexByte(raw, '\n') + 1
+		// An unknown trailing section with a 3-byte payload: the file
+		// still loads whole, and owns a trailing pad to cut into.
+		body := appendSection(append([]byte(nil), raw[start:]...), "XTRA", []byte{1, 2, 3}, c.align)
+		extended := append(raw[:start:start], body...)
+		if _, err := LoadModelBytes(extended, nil); err != nil {
+			t.Fatalf("%s with an unknown trailing section: %v", c.file, err)
+		}
+		for _, b := range [][]byte{raw[start:], body} {
+			for cut := range len(b) {
+				if cut%c.align == 0 {
+					continue // a section boundary: may parse with fewer sections
+				}
+				if _, err := parseSections(b[:cut], c.magic, c.align); err == nil {
+					t.Fatalf("%s body cut at %d of %d parsed", c.file, cut, len(b))
+				}
+			}
+		}
+	}
+	// Every v3 boundary cut misses a required section (WGTS is last).
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_v3.mlt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := v3SectionBoundaries(t, raw)
+	for _, cut := range cuts[:len(cuts)-1] {
+		if _, err := LoadModelBytes(raw[:cut], nil); err == nil {
+			t.Fatalf("golden_v3.mlt cut at section boundary %d of %d loaded", cut, len(raw))
+		}
 	}
 }
 
@@ -261,6 +374,16 @@ func FuzzModelV3Codec(f *testing.F) {
 	corrupt := append([]byte(nil), valid.Bytes()...)
 	corrupt[len(corrupt)-9] ^= 0x40
 	f.Add(corrupt)
+	// Save writes v4, so the real v3 bodies come from the frozen golden
+	// artifact: whole, and cut at every section boundary.
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v3.mlt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, cut := range v3SectionBoundaries(f, golden) {
+		f.Add(golden[:cut])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModel(bytes.NewReader(data))

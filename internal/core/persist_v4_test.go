@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -225,14 +224,22 @@ func benchInstallModel(b *testing.B, members, hidden int) *Model {
 }
 
 // BenchmarkModelInstall measures install-to-servable latency per
-// persistence version and model size. The acceptance claim is the
-// scaling shape: v3 decode cost grows with the weight count (every
-// float copied, every engine table rebuilt), while v4 stays near-flat
-// as the model grows — the mmap open and section walk touch metadata
-// only, and weight pages fault in lazily as predictions first use them
-// (that deferral is the point: replica installs stop paying for model
-// size up front).
+// persistence version. The v3 arm loads the committed golden_v3.mlt
+// (Save no longer writes v3) through the copy-decode path, every float
+// copied. The v4 arms save synthetic models of two sizes: v4 install
+// stays near-flat as the model grows — the mmap open and section walk
+// touch metadata only, and weight pages fault in lazily as predictions
+// first use them (that deferral is the point: replica installs stop
+// paying for model size up front).
 func BenchmarkModelInstall(b *testing.B) {
+	type arm struct {
+		name    string
+		path    string
+		members int
+	}
+	// golden_v3.mlt holds the 2-member portable golden model.
+	arms := []arm{{"v3/golden", filepath.Join("testdata", "golden_v3.mlt"), 2}}
+	dir := b.TempDir()
 	for _, size := range []struct {
 		name            string
 		members, hidden int
@@ -240,37 +247,28 @@ func BenchmarkModelInstall(b *testing.B) {
 		{"small", 3, 16},
 		{"large", 11, 256},
 	} {
-		model := benchInstallModel(b, size.members, size.hidden)
-		dir := b.TempDir()
-		v4Path := filepath.Join(dir, "m4.mlt")
-		if err := model.SaveFile(v4Path); err != nil {
+		path := filepath.Join(dir, size.name+".mlt")
+		if err := benchInstallModel(b, size.members, size.hidden).SaveFile(path); err != nil {
 			b.Fatal(err)
 		}
-		model.persistVersion = modelVersionV3
-		v3Path := filepath.Join(dir, "m3.mlt")
-		if err := model.SaveFile(v3Path); err != nil {
+		arms = append(arms, arm{"v4/" + size.name, path, size.members})
+	}
+	for _, a := range arms {
+		fi, err := os.Stat(a.path)
+		if err != nil {
 			b.Fatal(err)
 		}
-		for _, v := range []struct {
-			name string
-			path string
-		}{{"v3", v3Path}, {"v4", v4Path}} {
-			fi, err := os.Stat(v.path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/%s", v.name, size.name), func(b *testing.B) {
-				b.ReportMetric(float64(fi.Size()), "file-bytes")
-				for i := 0; i < b.N; i++ {
-					m, err := LoadModelFile(v.path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if m.ensemble.Size() != size.members {
-						b.Fatal("wrong model")
-					}
+		b.Run(a.name, func(b *testing.B) {
+			b.ReportMetric(float64(fi.Size()), "file-bytes")
+			for i := 0; i < b.N; i++ {
+				m, err := LoadModelFile(a.path)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if m.ensemble.Size() != a.members {
+					b.Fatal("wrong model")
+				}
+			}
+		})
 	}
 }

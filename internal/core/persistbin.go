@@ -1,15 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/ann"
+	"repro/internal/mmapx"
 )
 
-// Version-3 binary model body.
+// Version-3 binary model body, and the section stream shared with v4.
 //
 // The v1/v2 body is a gob stream; decoding it dominates replica model
 // installs (reflection-driven, allocation-heavy). The v3 body is a flat
@@ -21,10 +22,9 @@ import (
 //
 // Every section payload is padded to an 8-byte boundary *relative to
 // the magic*, and the section header is 8 bytes, so each section —
-// including the raw weight block — starts 8-aligned within the body:
-// an mmap-based reader can point float64 slices at the WGTS payload in
-// place. Unknown tags are skipped on read (additive sections stay
-// backward compatible); the three defined sections are:
+// including the raw weight block — starts 8-aligned within the body.
+// Unknown tags are skipped on read (additive sections stay backward
+// compatible); the three defined sections are:
 //
 //	"SCAL"  target scaler: Mean, Std            (2 × float64)
 //	"ENSH"  ensemble shape: member count, then per member the layer
@@ -33,10 +33,13 @@ import (
 //	"WGTS"  all weights, member-major layer-major, float64, in the
 //	        exact layout ann.NetworkState records
 //
-// Writing is deterministic byte for byte (pinned by the byte-identity
-// persistence tests); reading validates every length against hard
-// limits before allocating, and any truncation or corruption returns an
-// error — never a panic.
+// Save no longer writes v3 (a v3-loaded model re-saves as v4), but
+// every v3 artifact still loads. The v4 arena (persistbin4.go) is the
+// same stream with a 64-byte alignment in place of 8, so one walker,
+// parseSections, reads both, and one decoder, decodeBinaryPayload,
+// turns either into an ensemble. Reading validates every length
+// against hard limits before allocating, and any truncation or
+// corruption returns an error — never a panic.
 
 var binMagic = [8]byte{'M', 'L', 'T', '3', 0, 0, 0, 0}
 
@@ -44,6 +47,8 @@ const (
 	binSecScaler  = "SCAL"
 	binSecShape   = "ENSH"
 	binSecWeights = "WGTS"
+
+	binAlign3 = 8
 
 	// Decode limits: far above any real model, low enough that a
 	// corrupted length field cannot drive a huge allocation.
@@ -83,33 +88,6 @@ func actName(code uint8) (string, bool) {
 	return "", false
 }
 
-// binWriter appends sections with deterministic padding.
-type binWriter struct {
-	w   io.Writer
-	off int // bytes written past the magic
-	err error
-}
-
-func (bw *binWriter) write(p []byte) {
-	if bw.err != nil {
-		return
-	}
-	_, bw.err = bw.w.Write(p)
-	bw.off += len(p)
-}
-
-func (bw *binWriter) section(tag string, payload []byte) {
-	var hdr [8]byte
-	copy(hdr[:4], tag)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	bw.write(hdr[:])
-	bw.write(payload)
-	if pad := (8 - bw.off%8) % 8; pad > 0 {
-		var zero [8]byte
-		bw.write(zero[:pad])
-	}
-}
-
 // encodeScalerSection encodes the SCAL payload.
 func encodeScalerSection(scaler ann.TargetScaler) []byte {
 	var scal [16]byte
@@ -118,8 +96,8 @@ func encodeScalerSection(scaler ann.TargetScaler) []byte {
 	return scal[:]
 }
 
-// encodeShapeSection encodes the ENSH payload, shared by the v3 and v4
-// writers, and returns the total weight count the shape implies.
+// encodeShapeSection encodes the ENSH payload and returns the total
+// weight count the shape implies.
 func encodeShapeSection(st ann.EnsembleState) ([]byte, int, error) {
 	var shape []byte
 	u32 := func(v uint32) {
@@ -164,114 +142,6 @@ func encodeWeightSection(st ann.EnsembleState, totalWeights int) []byte {
 	return weights
 }
 
-// writeBinaryPayload writes the v3 body (magic + sections) for the
-// model's scaler and ensemble state.
-func writeBinaryPayload(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleState) error {
-	bw := &binWriter{w: w}
-	bw.write(binMagic[:])
-	bw.section(binSecScaler, encodeScalerSection(scaler))
-	shape, totalWeights, err := encodeShapeSection(st)
-	if err != nil {
-		return err
-	}
-	bw.section(binSecShape, shape)
-	bw.section(binSecWeights, encodeWeightSection(st, totalWeights))
-	if bw.err != nil {
-		return fmt.Errorf("core: writing v3 model body: %w", bw.err)
-	}
-	return nil
-}
-
-// binCursor walks a fully-read v3 body with bounds-checked reads.
-type binCursor struct {
-	buf []byte
-	off int
-}
-
-func (c *binCursor) take(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.buf) {
-		return nil, fmt.Errorf("core: v3 model body truncated (want %d bytes at offset %d of %d)", n, c.off, len(c.buf))
-	}
-	p := c.buf[c.off : c.off+n]
-	c.off += n
-	return p, nil
-}
-
-func (c *binCursor) u32() (uint32, error) {
-	p, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(p), nil
-}
-
-// readBinaryPayload parses a v3 body into the scaler and ensemble state.
-// members is the header's advertised member count, cross-checked against
-// the shape section.
-func readBinaryPayload(r io.Reader, members int) (ann.TargetScaler, ann.EnsembleState, error) {
-	var scaler ann.TargetScaler
-	var st ann.EnsembleState
-
-	body, err := io.ReadAll(r)
-	if err != nil {
-		return scaler, st, fmt.Errorf("core: reading v3 model body: %w", err)
-	}
-	c := &binCursor{buf: body}
-	magic, err := c.take(8)
-	if err != nil {
-		return scaler, st, err
-	}
-	if string(magic) != string(binMagic[:]) {
-		return scaler, st, fmt.Errorf("core: v3 model body has bad magic %q", magic[:4])
-	}
-
-	var scal, shape, weights []byte
-	for c.off < len(c.buf) {
-		hdr, err := c.take(8)
-		if err != nil {
-			return scaler, st, err
-		}
-		tag := string(hdr[:4])
-		length := int(binary.LittleEndian.Uint32(hdr[4:]))
-		payload, err := c.take(length)
-		if err != nil {
-			return scaler, st, err
-		}
-		if pad := (8 - c.off%8) % 8; pad > 0 {
-			if _, err := c.take(pad); err != nil {
-				return scaler, st, err
-			}
-		}
-		switch tag {
-		case binSecScaler:
-			scal = payload
-		case binSecShape:
-			shape = payload
-		case binSecWeights:
-			weights = payload
-		default:
-			// Unknown section: skip. Additive sections from a newer minor
-			// revision must not break this reader.
-		}
-	}
-	if scal == nil || shape == nil || weights == nil {
-		return scaler, st, fmt.Errorf("core: v3 model body is missing a required section (have scaler=%t shape=%t weights=%t)",
-			scal != nil, shape != nil, weights != nil)
-	}
-	scaler, err = parseScalerSection(scal)
-	if err != nil {
-		return scaler, st, err
-	}
-	st.Nets, _, err = parseShapeSection(shape, members)
-	if err != nil {
-		return scaler, st, err
-	}
-	if err := decodeWeightSection(st.Nets, weights); err != nil {
-		return scaler, st, err
-	}
-	return scaler, st, nil
-}
-
 // parseScalerSection decodes a SCAL payload.
 func parseScalerSection(scal []byte) (ann.TargetScaler, error) {
 	var scaler ann.TargetScaler
@@ -288,8 +158,22 @@ func parseScalerSection(scal []byte) (ann.TargetScaler, error) {
 // validating every length against the decode limits. members, when
 // positive, is cross-checked against the header's advertised count.
 func parseShapeSection(shape []byte, members int) ([]ann.NetworkState, int, error) {
-	sc := &binCursor{buf: shape}
-	k, err := sc.u32()
+	off := 0
+	take := func(n int) ([]byte, error) {
+		if n > len(shape)-off {
+			return nil, fmt.Errorf("core: model shape section truncated (want %d bytes at offset %d of %d)", n, off, len(shape))
+		}
+		off += n
+		return shape[off-n : off], nil
+	}
+	u32 := func() (uint32, error) {
+		p, err := take(4)
+		if err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint32(p), nil
+	}
+	k, err := u32()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -302,7 +186,7 @@ func parseShapeSection(shape []byte, members int) ([]ann.NetworkState, int, erro
 	nets := make([]ann.NetworkState, k)
 	totalWeights := 0
 	for i := range nets {
-		layers, err := sc.u32()
+		layers, err := u32()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -311,7 +195,7 @@ func parseShapeSection(shape []byte, members int) ([]ann.NetworkState, int, erro
 		}
 		sizes := make([]int, layers+1)
 		for j := range sizes {
-			sz, err := sc.u32()
+			sz, err := u32()
 			if err != nil {
 				return nil, 0, err
 			}
@@ -321,7 +205,7 @@ func parseShapeSection(shape []byte, members int) ([]ann.NetworkState, int, erro
 			sizes[j] = int(sz)
 		}
 		acts := make([]string, layers)
-		rawActs, err := sc.take(int(layers))
+		rawActs, err := take(int(layers))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -340,31 +224,119 @@ func parseShapeSection(shape []byte, members int) ([]ann.NetworkState, int, erro
 			}
 		}
 	}
-	if sc.off != len(sc.buf) {
-		return nil, 0, fmt.Errorf("core: model shape section has %d trailing bytes", len(sc.buf)-sc.off)
+	if off != len(shape) {
+		return nil, 0, fmt.Errorf("core: model shape section has %d trailing bytes", len(shape)-off)
 	}
 	return nets, totalWeights, nil
 }
 
-// shapeWeightCount returns the weight count nets imply (shared by the
-// weight-section validators).
-func shapeWeightCount(nets []ann.NetworkState) int {
-	total := 0
-	for _, n := range nets {
-		for l := 0; l < len(n.Acts); l++ {
-			total += (n.Sizes[l] + 1) * n.Sizes[l+1]
-		}
-	}
-	return total
+// sections holds the located section payloads of a v3 or v4 body
+// (sub-slices of the body, not copies). The engine-table sections are
+// v4-only; a v3 decode ignores them.
+type sections struct {
+	scal, shape, weights, lut, q16, q8 []byte
 }
 
-// decodeWeightSection fills nets' Weights by copying out of a WGTS
-// payload (the byte-order-independent path; the v4 loader's
-// zero-copy alias path lives in persistbin4.go).
-func decodeWeightSection(nets []ann.NetworkState, weights []byte) error {
-	totalWeights := shapeWeightCount(nets)
-	if len(weights) != totalWeights*8 {
-		return fmt.Errorf("core: model weight section is %d bytes, shape wants %d", len(weights), totalWeights*8)
+// parseSections walks a v3 (align 8) or v4 (align 64) body. Both lay
+// out the same stream: magic at the start of an align-byte lead block,
+// then sections, each an align-byte header (tag[4], uint32 LE payload
+// length, reserved bytes) and a payload zero-padded to the next align
+// boundary. A repeated tag keeps its last payload; unknown tags are
+// skipped. A bad magic, any truncation — including inside a trailing
+// pad — and a missing scaler, shape or weight section are errors.
+func parseSections(body []byte, magic [8]byte, align int) (*sections, error) {
+	if len(body) < align || !bytes.Equal(body[:len(magic)], magic[:]) {
+		return nil, fmt.Errorf("core: model body has bad magic (want %q)", magic[:4])
+	}
+	s := &sections{}
+	for off := align; off < len(body); {
+		if len(body)-off < align {
+			return nil, fmt.Errorf("core: model body truncated in a section header at offset %d", off)
+		}
+		tag := string(body[off : off+4])
+		length := int(binary.LittleEndian.Uint32(body[off+4 : off+8]))
+		start := off + align
+		if length < 0 || length > len(body)-start {
+			return nil, fmt.Errorf("core: model section %q truncated (want %d bytes at offset %d of %d)",
+				tag, length, start, len(body))
+		}
+		end := start + length
+		if off = end + (align-end%align)%align; off > len(body) {
+			return nil, fmt.Errorf("core: model section %q truncated in its trailing pad", tag)
+		}
+		payload := body[start:end]
+		switch tag {
+		case binSecScaler:
+			s.scal = payload
+		case binSecShape:
+			s.shape = payload
+		case binSecWeights:
+			s.weights = payload
+		case binSecLut:
+			s.lut = payload
+		case binSecQ16:
+			s.q16 = payload
+		case binSecQ8:
+			s.q8 = payload
+		default:
+			// Unknown section: skip. Additive sections from a newer minor
+			// revision must not break this reader.
+		}
+	}
+	if s.scal == nil || s.shape == nil || s.weights == nil {
+		return nil, fmt.Errorf("core: model body is missing a required section (have scaler=%t shape=%t weights=%t)",
+			s.scal != nil, s.shape != nil, s.weights != nil)
+	}
+	return s, nil
+}
+
+// decodedBody is a decoded model body: the scaler and ensemble, plus
+// the prebuilt quantised engines a v4 arena carries.
+type decodedBody struct {
+	scaler   ann.TargetScaler
+	ensemble *ann.Ensemble
+	q16      *ann.QuantizedEnsemble
+	q8       *ann.Quantized8Ensemble
+}
+
+// decodeBinaryPayload decodes a v3 or v4 body. A v4 body is decoded in
+// place: the weights and engine tables alias body, and arena, when
+// non-nil, is the memory mapping backing it, held by every structure
+// that aliases it. With a nil arena (heap-owned body) aliasing is still
+// safe — the slices keep the buffer alive. A v3 body is always
+// copy-decoded and its engine-table sections are ignored, so nothing
+// it returns aliases body and the caller may release a mapping behind
+// it.
+func decodeBinaryPayload(body []byte, version, members int, arena *mmapx.Data) (*decodedBody, error) {
+	magic, align := binMagic, binAlign3
+	if version == modelVersionV4 {
+		magic, align = binMagic4, binAlign4
+	}
+	secs, err := parseSections(body, magic, align)
+	if err != nil {
+		return nil, err
+	}
+	d := &decodedBody{}
+	d.scaler, err = parseScalerSection(secs.scal)
+	if err != nil {
+		return nil, err
+	}
+	nets, totalWeights, err := parseShapeSection(secs.shape, members)
+	if err != nil {
+		return nil, err
+	}
+	if len(secs.weights) != totalWeights*8 {
+		return nil, fmt.Errorf("core: model weight section is %d bytes, shape wants %d", len(secs.weights), totalWeights*8)
+	}
+
+	// Zero-copy install aliases the v4 weight section in place. v3
+	// bodies, big-endian hosts and misaligned buffers copy-decode.
+	ws, aliased := mmapx.Float64s(secs.weights)
+	if !aliased || version != modelVersionV4 {
+		ws, aliased = make([]float64, totalWeights), false
+		for j := range ws {
+			ws[j] = math.Float64frombits(binary.LittleEndian.Uint64(secs.weights[8*j:]))
+		}
 	}
 	off := 0
 	for i := range nets {
@@ -372,13 +344,23 @@ func decodeWeightSection(nets []ann.NetworkState, weights []byte) error {
 		n.Weights = make([][]float64, len(n.Acts))
 		for l := range n.Weights {
 			cnt := (n.Sizes[l] + 1) * n.Sizes[l+1]
-			lw := make([]float64, cnt)
-			for j := range lw {
-				lw[j] = math.Float64frombits(binary.LittleEndian.Uint64(weights[off:]))
-				off += 8
-			}
-			n.Weights[l] = lw
+			n.Weights[l] = ws[off : off+cnt : off+cnt]
+			off += cnt
 		}
 	}
-	return nil
+	var hold *mmapx.Data
+	if aliased {
+		hold = arena
+	}
+	d.ensemble, err = ann.EnsembleFromStateShared(ann.EnsembleState{Nets: nets}, hold)
+	if err != nil {
+		return nil, err
+	}
+	if version == modelVersionV4 {
+		d.q16, d.q8, err = decodeEngineTables(secs, nets[0].Sizes[0], arena)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }

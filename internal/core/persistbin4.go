@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -27,7 +26,9 @@ import (
 // and therefore every section payload — starts at a 64-byte *file*
 // offset: payloads are cache-line aligned in the mapping, and every
 // array type used (float64, int64, int32, int16, int8) lands on its
-// natural alignment. Unknown tags are skipped on read. Sections:
+// natural alignment. Apart from the alignment this is the v3 section
+// stream, read by the same walker (parseSections in persistbin.go);
+// unknown tags are skipped on read. Sections:
 //
 //	"SCAL"  target scaler: Mean, Std                (2 × float64)
 //	"ENSH"  ensemble shape (identical payload encoding to v3)
@@ -50,11 +51,10 @@ import (
 var binMagic4 = [8]byte{'M', 'L', 'T', '4', 0, 0, 0, 0}
 
 const (
-	binAlign4  = 64
-	binSecLut  = "QLUT"
-	binSecQ16  = "Q16T"
-	binSecQ8   = "QNT8"
-	binMaxBody = 1 << 31 // caps corrupted section lengths
+	binAlign4 = 64
+	binSecLut = "QLUT"
+	binSecQ16 = "Q16T"
+	binSecQ8  = "QNT8"
 )
 
 // binWriter4 appends 64-byte-aligned sections deterministically.
@@ -121,154 +121,40 @@ func writeBinaryPayloadV4(w io.Writer, scaler ann.TargetScaler, st ann.EnsembleS
 	return nil
 }
 
-// v4Sections holds the located section payloads (sub-slices of the
-// body, not copies).
-type v4Sections struct {
-	scal, shape, weights, lut, q16, q8 []byte
-}
-
-// parseV4Sections walks the v4 body and locates the known sections.
-func parseV4Sections(body []byte) (*v4Sections, error) {
-	if len(body) < binAlign4 || !bytes.Equal(body[:8], binMagic4[:]) {
-		return nil, fmt.Errorf("core: v4 model body has bad magic")
+// decodeEngineTables decodes the v4 engine-table sections, aliasing
+// them in place with arena as their hold reference. Either engine is
+// nil when its section is absent. The file's LUT must match this
+// build's shared table: the tables were computed against it, and
+// inference runs on the shared copy (one hot 16 KiB table across all
+// installed models).
+func decodeEngineTables(secs *sections, inputDim int, arena *mmapx.Data) (q16 *ann.QuantizedEnsemble, q8 *ann.Quantized8Ensemble, err error) {
+	if secs.q16 == nil && secs.q8 == nil {
+		return nil, nil, nil
 	}
-	s := &v4Sections{}
-	off := binAlign4
-	for off < len(body) {
-		if off+binAlign4 > len(body) {
-			return nil, fmt.Errorf("core: v4 model body truncated in a section header at offset %d", off)
-		}
-		tag := string(body[off : off+4])
-		length := int(binary.LittleEndian.Uint32(body[off+4 : off+8]))
-		if length < 0 || length > binMaxBody {
-			return nil, fmt.Errorf("core: v4 section %q claims %d bytes", tag, length)
-		}
-		payloadOff := off + binAlign4
-		if payloadOff+length > len(body) {
-			return nil, fmt.Errorf("core: v4 section %q truncated (want %d bytes at offset %d of %d)",
-				tag, length, payloadOff, len(body))
-		}
-		payload := body[payloadOff : payloadOff+length]
-		switch tag {
-		case binSecScaler:
-			s.scal = payload
-		case binSecShape:
-			s.shape = payload
-		case binSecWeights:
-			s.weights = payload
-		case binSecLut:
-			s.lut = payload
-		case binSecQ16:
-			s.q16 = payload
-		case binSecQ8:
-			s.q8 = payload
-		default:
-			// Unknown section: skip. Additive sections from a newer minor
-			// revision must not break this reader.
-		}
-		end := payloadOff + length
-		if rem := end % binAlign4; rem != 0 {
-			end += binAlign4 - rem
-		}
-		if end < off+binAlign4 { // overflow guard
-			return nil, fmt.Errorf("core: v4 section %q has a degenerate length", tag)
-		}
-		off = end
+	lut := ann.SigmoidTableQ14()
+	if len(secs.lut) != 2*len(lut) {
+		return nil, nil, fmt.Errorf("core: v4 sigmoid table is %d bytes, this build's is %d", len(secs.lut), 2*len(lut))
 	}
-	if s.scal == nil || s.shape == nil || s.weights == nil {
-		return nil, fmt.Errorf("core: v4 model body is missing a required section (have scaler=%t shape=%t weights=%t)",
-			s.scal != nil, s.shape != nil, s.weights != nil)
-	}
-	return s, nil
-}
-
-// v4Decoded is the result of decoding a v4 body: the ensemble (aliasing
-// the body when possible) plus the prebuilt quantised engines.
-type v4Decoded struct {
-	scaler   ann.TargetScaler
-	ensemble *ann.Ensemble
-	q16      *ann.QuantizedEnsemble
-	q8       *ann.Quantized8Ensemble
-}
-
-// decodeBinaryPayloadV4 decodes a v4 body. arena, when non-nil, is the
-// memory mapping backing body; it is threaded through as the hold
-// reference of every structure that aliases the body in place. With a
-// nil arena (heap-owned body) aliasing is still safe — the slices keep
-// the buffer alive — so installs skip the weight copy either way.
-func decodeBinaryPayloadV4(body []byte, members int, arena *mmapx.Data) (*v4Decoded, error) {
-	secs, err := parseV4Sections(body)
-	if err != nil {
-		return nil, err
-	}
-	d := &v4Decoded{}
-	d.scaler, err = parseScalerSection(secs.scal)
-	if err != nil {
-		return nil, err
-	}
-	nets, totalWeights, err := parseShapeSection(secs.shape, members)
-	if err != nil {
-		return nil, err
-	}
-	if len(secs.weights) != totalWeights*8 {
-		return nil, fmt.Errorf("core: v4 weight section is %d bytes, shape wants %d", len(secs.weights), totalWeights*8)
-	}
-
-	// Zero-copy install: alias the weight arena in place. The fallback
-	// copy-decode covers big-endian hosts and misaligned buffers.
-	if ws, ok := mmapx.Float64s(secs.weights); ok {
-		off := 0
-		for i := range nets {
-			n := &nets[i]
-			n.Weights = make([][]float64, len(n.Acts))
-			for l := range n.Weights {
-				cnt := (n.Sizes[l] + 1) * n.Sizes[l+1]
-				n.Weights[l] = ws[off : off+cnt : off+cnt]
-				off += cnt
-			}
-		}
-		d.ensemble, err = ann.EnsembleFromStateShared(ann.EnsembleState{Nets: nets}, arena)
-	} else {
-		if err := decodeWeightSection(nets, secs.weights); err != nil {
-			return nil, err
-		}
-		d.ensemble, err = ann.EnsembleFromState(ann.EnsembleState{Nets: nets})
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Engine tables. The file's LUT must match this build's shared table
-	// — the tables were computed against it, and inference runs on the
-	// shared copy (one hot 16 KiB table across all installed models).
-	if secs.q16 != nil || secs.q8 != nil {
-		lut := ann.SigmoidTableQ14()
-		if len(secs.lut) != 2*len(lut) {
-			return nil, fmt.Errorf("core: v4 sigmoid table is %d bytes, this build's is %d", len(secs.lut), 2*len(lut))
-		}
-		for i, v := range lut {
-			if int16(binary.LittleEndian.Uint16(secs.lut[2*i:])) != v {
-				return nil, fmt.Errorf("core: v4 sigmoid table differs from this build's at cell %d — refusing engine tables quantised against a different grid", i)
-			}
+	for i, v := range lut {
+		if int16(binary.LittleEndian.Uint16(secs.lut[2*i:])) != v {
+			return nil, nil, fmt.Errorf("core: v4 sigmoid table differs from this build's at cell %d — refusing engine tables quantised against a different grid", i)
 		}
 	}
 	if secs.q16 != nil {
-		d.q16, err = ann.QuantizedEnsembleFromTables(secs.q16, arena)
-		if err != nil {
-			return nil, fmt.Errorf("core: v4 int16 engine tables: %w", err)
+		if q16, err = ann.QuantizedEnsembleFromTables(secs.q16, arena); err != nil {
+			return nil, nil, fmt.Errorf("core: v4 int16 engine tables: %w", err)
 		}
-		if d.q16.InputDim() != nets[0].Sizes[0] {
-			return nil, fmt.Errorf("core: v4 int16 engine tables expect %d inputs, ensemble has %d", d.q16.InputDim(), nets[0].Sizes[0])
+		if q16.InputDim() != inputDim {
+			return nil, nil, fmt.Errorf("core: v4 int16 engine tables expect %d inputs, ensemble has %d", q16.InputDim(), inputDim)
 		}
 	}
 	if secs.q8 != nil {
-		d.q8, err = ann.Quantized8EnsembleFromTables(secs.q8, arena)
-		if err != nil {
-			return nil, fmt.Errorf("core: v4 int8 engine tables: %w", err)
+		if q8, err = ann.Quantized8EnsembleFromTables(secs.q8, arena); err != nil {
+			return nil, nil, fmt.Errorf("core: v4 int8 engine tables: %w", err)
 		}
-		if d.q8.InputDim() != nets[0].Sizes[0] {
-			return nil, fmt.Errorf("core: v4 int8 engine tables expect %d inputs, ensemble has %d", d.q8.InputDim(), nets[0].Sizes[0])
+		if q8.InputDim() != inputDim {
+			return nil, nil, fmt.Errorf("core: v4 int8 engine tables expect %d inputs, ensemble has %d", q8.InputDim(), inputDim)
 		}
 	}
-	return d, nil
+	return q16, q8, nil
 }
