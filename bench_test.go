@@ -11,6 +11,7 @@ package mltune_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http/httptest"
@@ -103,7 +104,10 @@ func BenchmarkSearchBaselines(b *testing.B) { runExperiment(b, "baselines") }
 // --- Micro-benchmarks of the hot paths -----------------------------------
 
 // BenchmarkANNTraining measures fitting one 30-hidden-neuron network to
-// 500 samples of 9 features (one bagging member of a convolution model).
+// 500 samples of 9 features (one bagging member of a convolution model)
+// for 100 epochs. batch=4 is the tuner's default and the training step's
+// four-sample fast path; batch=1 takes its generic loop. ns/sample-step
+// is the time per sample per epoch.
 func BenchmarkANNTraining(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([][]float64, 500)
@@ -116,14 +120,20 @@ func BenchmarkANNTraining(b *testing.B) {
 		xs[i] = x
 		ys[i] = x[0]*x[1] - x[2]
 	}
-	cfg := ann.TrainConfig{Epochs: 100, LearningRate: 0.3, Momentum: 0.9, BatchSize: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := ann.MustNew(rand.New(rand.NewSource(2)), []int{9, 30, 1}, ann.Sigmoid, ann.Linear)
-		if _, err := net.Train(rand.New(rand.NewSource(3)), xs, ys, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, batch := range []int{4, 1} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			cfg := ann.TrainConfig{Epochs: 100, LearningRate: 0.3, Momentum: 0.9, BatchSize: batch}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net := ann.MustNew(rand.New(rand.NewSource(2)), []int{9, 30, 1}, ann.Sigmoid, ann.Linear)
+				if _, err := net.Train(rand.New(rand.NewSource(3)), xs, ys, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			steps := b.N * cfg.Epochs * len(xs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/sample-step")
+		})
 	}
 }
 

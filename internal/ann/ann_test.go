@@ -63,32 +63,38 @@ func TestActivationDerivatives(t *testing.T) {
 	}
 }
 
-// TestGradientCheck verifies backprop against numerical gradients on a
-// small random network — the canonical correctness test for any neural
-// network implementation.
+// TestGradientCheck verifies the training step's gradient against
+// numerical gradients on a small random network — the canonical
+// correctness test for any neural network implementation. It reads the
+// gradient off one real Train step: one sample, learning rate 1, no
+// momentum and no decay, so each weight moves by exactly −gradient.
 func TestGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := MustNew(rng, []int{3, 4, 1}, Sigmoid, Linear)
 	x := []float64{0.2, -0.7, 0.5}
 	target := 0.3
 
-	s := n.NewScratch()
-	grads := n.newGrads()
-	n.backprop(x, target, s, grads)
+	before := n.Clone()
+	cfg := TrainConfig{Epochs: 1, LearningRate: 1, LRDecay: 1, Momentum: 0, BatchSize: 1}
+	if _, err := n.Train(rng, [][]float64{x}, []float64{target}, cfg); err != nil {
+		t.Fatal(err)
+	}
 
+	s := before.NewScratch()
 	const h = 1e-6
-	for l := range n.weights {
-		for i := range n.weights[l] {
-			orig := n.weights[l][i]
-			n.weights[l][i] = orig + h
-			up := 0.5 * sq(n.Predict(x, s)-target)
-			n.weights[l][i] = orig - h
-			down := 0.5 * sq(n.Predict(x, s)-target)
-			n.weights[l][i] = orig
+	for l := range before.weights {
+		for i := range before.weights[l] {
+			grad := before.weights[l][i] - n.weights[l][i]
+			orig := before.weights[l][i]
+			before.weights[l][i] = orig + h
+			up := 0.5 * sq(before.Predict(x, s)-target)
+			before.weights[l][i] = orig - h
+			down := 0.5 * sq(before.Predict(x, s)-target)
+			before.weights[l][i] = orig
 			num := (up - down) / (2 * h)
-			if math.Abs(num-grads[l][i]) > 1e-5 {
+			if math.Abs(num-grad) > 1e-5 {
 				t.Fatalf("gradient mismatch layer %d weight %d: analytic %g numeric %g",
-					l, i, grads[l][i], num)
+					l, i, grad, num)
 			}
 		}
 	}
@@ -163,6 +169,32 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 	if a, b := build(), build(); a != b {
 		t.Errorf("training not deterministic: %g vs %g", a, b)
+	}
+}
+
+// TestTrainHugeBatchSize checks that a batch size far beyond the data,
+// as a /v1/train request body may carry, trains as one batch of all the
+// samples instead of sizing buffers by the request.
+func TestTrainHugeBatchSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	xs := make([][]float64, 10)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = []float64{rng.Float64(), rng.Float64()}
+		ys[i] = xs[i][0] - xs[i][1]
+	}
+	train := func(batch int) uint64 {
+		n := MustNew(rand.New(rand.NewSource(3)), []int{2, 6, 1}, Sigmoid, Linear)
+		if _, err := n.Train(rand.New(rand.NewSource(4)), xs, ys, TrainConfig{Epochs: 20, BatchSize: batch}); err != nil {
+			t.Fatalf("BatchSize %d: %v", batch, err)
+		}
+		return n.Fingerprint()
+	}
+	want := train(len(xs))
+	for _, batch := range []int{1 << 40, math.MaxInt} {
+		if got := train(batch); got != want {
+			t.Errorf("BatchSize %d: fingerprint %x, want %x (BatchSize = len(xs))", batch, got, want)
+		}
 	}
 }
 

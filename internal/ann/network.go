@@ -10,9 +10,10 @@ import (
 // sizes[l] inputs to sizes[l+1] outputs through a weight matrix with a
 // folded-in bias column.
 //
-// Networks are not safe for concurrent training; Predict is safe for
-// concurrent use as long as each goroutine uses its own scratch (see
-// NewScratch).
+// Networks are not safe for concurrent training (Train allocates its own
+// block buffers per call and updates the weights in place); Predict is
+// safe for concurrent use as long as each goroutine uses its own scratch
+// (see NewScratch).
 type Network struct {
 	sizes   []int
 	acts    []Activation // one per weight layer
@@ -86,26 +87,21 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// Scratch holds per-goroutine forward/backward buffers so that prediction
-// and training never allocate in the hot path.
+// Scratch holds per-goroutine forward buffers so that single-sample
+// prediction never allocates in the hot path. Training keeps its own
+// block buffers.
 type Scratch struct {
 	// activations[l] is the output of layer l (activations[0] = input).
 	activations [][]float64
-	// deltas[l] is the error signal of layer l+1 during backprop.
-	deltas [][]float64
 }
 
 // NewScratch allocates buffers matching the network topology.
 func (n *Network) NewScratch() *Scratch {
 	s := &Scratch{
 		activations: make([][]float64, len(n.sizes)),
-		deltas:      make([][]float64, len(n.weights)),
 	}
 	for i, sz := range n.sizes {
 		s.activations[i] = make([]float64, sz)
-	}
-	for l := range n.weights {
-		s.deltas[l] = make([]float64, n.sizes[l+1])
 	}
 	return s
 }
@@ -139,59 +135,4 @@ func (n *Network) Predict(x []float64, s *Scratch) float64 {
 		panic(fmt.Sprintf("ann: Predict on network with %d outputs", len(out)))
 	}
 	return out[0]
-}
-
-// backprop accumulates the gradient of the squared error 0.5*(y-t)^2 for
-// one sample into grads (same shape as weights) and returns the sample's
-// squared error. forward must not have been called since the last
-// backprop on this scratch.
-func (n *Network) backprop(x []float64, target float64, s *Scratch, grads [][]float64) float64 {
-	out := n.forward(x, s)
-	last := len(n.weights) - 1
-
-	// Output layer deltas.
-	var se float64
-	for j, yj := range out {
-		err := yj - target
-		se += err * err
-		s.deltas[last][j] = err * n.acts[last].derivFromValue(yj)
-	}
-
-	// Hidden layer deltas, back to front.
-	for l := last - 1; l >= 0; l-- {
-		nextW := n.weights[l+1]
-		cols := n.sizes[l+1] + 1
-		for j := 0; j < n.sizes[l+1]; j++ {
-			var sum float64
-			for k := 0; k < n.sizes[l+2]; k++ {
-				sum += nextW[k*cols+j] * s.deltas[l+1][k]
-			}
-			yj := s.activations[l+1][j]
-			s.deltas[l][j] = sum * n.acts[l].derivFromValue(yj)
-		}
-	}
-
-	// Gradient accumulation.
-	for l := range n.weights {
-		in := s.activations[l]
-		cols := len(in) + 1
-		g := grads[l]
-		for j, dj := range s.deltas[l] {
-			row := g[j*cols : (j+1)*cols]
-			for i, xi := range in {
-				row[i] += dj * xi
-			}
-			row[len(in)] += dj // bias
-		}
-	}
-	return se / 2
-}
-
-// newGrads allocates a zero gradient of the network's shape.
-func (n *Network) newGrads() [][]float64 {
-	g := make([][]float64, len(n.weights))
-	for l, w := range n.weights {
-		g[l] = make([]float64, len(w))
-	}
-	return g
 }

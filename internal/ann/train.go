@@ -42,7 +42,9 @@ func DefaultTrainConfig() TrainConfig {
 type TrainResult struct {
 	// Epochs is the number of epochs actually run.
 	Epochs int
-	// FinalMSE is the mean squared training error after the last epoch.
+	// FinalMSE is the mean squared training error accumulated during the
+	// last epoch: each sample is scored by the weights its mini-batch
+	// started from, before that batch's update.
 	FinalMSE float64
 }
 
@@ -72,10 +74,11 @@ func (n *Network) Train(rng *rand.Rand, xs [][]float64, ys []float64, cfg TrainC
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
+	// A batch larger than the data is one batch of all of it. Clamping
+	// sizes the block buffers by the data, not by the request.
+	cfg.BatchSize = min(cfg.BatchSize, len(xs))
 
-	scratch := n.NewScratch()
-	grads := n.newGrads()
-	velocity := n.newGrads()
+	blk := n.newTrainBlock(cfg.BatchSize)
 	order := rng.Perm(len(xs))
 
 	lr := cfg.LearningRate
@@ -92,24 +95,8 @@ func (n *Network) Train(rng *rand.Rand, xs [][]float64, ys []float64, cfg TrainC
 
 		var sumSE float64
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			for l := range grads {
-				clearSlice(grads[l])
-			}
-			for _, idx := range order[start:end] {
-				sumSE += n.backprop(xs[idx], ys[idx], scratch, grads)
-			}
-			scale := lr / float64(end-start)
-			for l, w := range n.weights {
-				g, v := grads[l], velocity[l]
-				for i := range w {
-					v[i] = cfg.Momentum*v[i] - scale*g[i]
-					w[i] += v[i]
-				}
-			}
+			end := min(start+cfg.BatchSize, len(order))
+			sumSE = n.trainStep(blk, xs, ys, order[start:end], cfg.Momentum, lr/float64(end-start), sumSE)
 		}
 		lr *= cfg.LRDecay
 
@@ -144,8 +131,150 @@ func (n *Network) MSE(xs [][]float64, ys []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-func clearSlice(s []float64) {
-	for i := range s {
-		s[i] = 0
+// trainBlock holds Train's buffers for one mini-batch of up to capacity
+// samples, laid out sample-major like BatchScratch.
+type trainBlock struct {
+	// acts[l][b*sizes[l]+i] is layer l's output for sample b (a
+	// BatchScratch's activations); acts[0] is the gathered input block.
+	acts [][]float64
+	// deltas[l][b*sizes[l+1]+j] is the error signal of neuron j of layer
+	// l+1 for sample b.
+	deltas [][]float64
+	// vel is the momentum velocity, shaped like the weights.
+	vel [][]float64
+}
+
+func (n *Network) newTrainBlock(capacity int) *trainBlock {
+	t := &trainBlock{
+		acts:   n.NewBatchScratch(capacity).activations,
+		deltas: make([][]float64, len(n.weights)),
+		vel:    make([][]float64, len(n.weights)),
+	}
+	for l, w := range n.weights {
+		t.deltas[l] = make([]float64, capacity*n.sizes[l+1])
+		t.vel[l] = make([]float64, len(w))
+	}
+	return t
+}
+
+// trainStep runs one mini-batch (the samples idx) as a block and applies
+// its momentum update. sumSE is the epoch's running sum of per-sample
+// squared errors; each sample's share is added in order and the new sum
+// returned.
+//
+// Every sample of a batch reads the same pre-update weights, so the batch
+// runs layer-major without changing a rounding: each dot product starts
+// from the bias and adds inputs in order, and each weight's gradient
+// starts at 0 and adds the samples' terms in sample order. The weights
+// are bit-identical to a per-sample forward, backprop and accumulate loop
+// (see train_ref_test.go).
+func (n *Network) trainStep(t *trainBlock, xs [][]float64, ys []float64, idx []int, momentum, scale, sumSE float64) float64 {
+	count := len(idx)
+	in0 := n.sizes[0]
+	for b, k := range idx {
+		copy(t.acts[0][b*in0:(b+1)*in0], xs[k])
+	}
+	for l, w := range n.weights {
+		res := t.acts[l+1][:count*n.sizes[l+1]]
+		preActBlock(w, n.sizes[l], n.sizes[l+1], count, t.acts[l], res)
+		applyBlock(n.acts[l], res)
+	}
+
+	last := len(n.weights) - 1
+	outs := n.sizes[last+1]
+	y, d := t.acts[last+1], t.deltas[last]
+	for b, k := range idx {
+		var se float64
+		for j := b * outs; j < (b+1)*outs; j++ {
+			err := y[j] - ys[k]
+			se += err * err
+			d[j] = err
+		}
+		sumSE += se / 2
+	}
+	derivBlock(n.acts[last], y[:count*outs], d[:count*outs])
+	for l := last - 1; l >= 0; l-- {
+		hid, next := n.sizes[l+1], n.sizes[l+2]
+		nextW, dn, dl := n.weights[l+1], t.deltas[l+1], t.deltas[l][:count*hid]
+		// dl[b*hid+j] = 0 + Σ_k w_kj·d_bk in k order, with k outside j so
+		// the inner loop walks a weight row.
+		clear(dl)
+		for b := 0; b < count; b++ {
+			row := dl[b*hid : (b+1)*hid]
+			for k, dk := range dn[b*next : (b+1)*next] {
+				wk := nextW[k*(hid+1) : k*(hid+1)+hid][:len(row)]
+				for j, w := range wk {
+					row[j] += w * dk
+				}
+			}
+		}
+		derivBlock(n.acts[l], t.acts[l+1][:count*hid], dl)
+	}
+
+	for l, w := range n.weights {
+		updateLayer(w, t.vel[l], t.acts[l], t.deltas[l], n.sizes[l], n.sizes[l+1], count, momentum, scale)
+	}
+	return sumSE
+}
+
+// derivBlock multiplies each error signal ds[t] by the activation
+// derivative at the activation value ys[t], dispatching once per layer.
+func derivBlock(a Activation, ys, ds []float64) {
+	switch a {
+	case Sigmoid:
+		for t, y := range ys {
+			ds[t] *= y * (1 - y)
+		}
+	case Linear: // derivative 1: x*1 == x
+	default:
+		for t, y := range ys {
+			ds[t] *= a.derivFromValue(y)
+		}
+	}
+}
+
+// updateLayer fuses one layer's gradient with its momentum update: for
+// each weight, g = 0 + Σ_b d_bj·x_bi in sample order (bias input 1), then
+// v = momentum·v − scale·g and w += v.
+func updateLayer(w, v, src, d []float64, in, out, count int, momentum, scale float64) {
+	cols := in + 1
+	for j := 0; j < out; j++ {
+		wr := w[j*cols : j*cols+cols : j*cols+cols]
+		vr := v[j*cols : j*cols+cols : j*cols+cols]
+		if count == 4 {
+			// The default batch: four independent products per weight,
+			// with the sample rows hoisted out of the weight loop.
+			d0, d1, d2, d3 := d[j], d[out+j], d[2*out+j], d[3*out+j]
+			vs, ws := vr[:in], wr[:in]
+			x0 := src[0*in : 1*in][:len(vs)]
+			x1 := src[1*in : 2*in][:len(vs)]
+			x2 := src[2*in : 3*in][:len(vs)]
+			x3 := src[3*in : 4*in][:len(vs)]
+			for i, vi := range vs {
+				g := 0.0
+				g += d0 * x0[i]
+				g += d1 * x1[i]
+				g += d2 * x2[i]
+				g += d3 * x3[i]
+				vi = momentum*vi - scale*g
+				vs[i] = vi
+				ws[i] += vi
+			}
+		} else {
+			for i := 0; i < in; i++ {
+				g := 0.0
+				for b := 0; b < count; b++ {
+					g += d[b*out+j] * src[b*in+i]
+				}
+				vr[i] = momentum*vr[i] - scale*g
+				wr[i] += vr[i]
+			}
+		}
+		g := 0.0
+		for b := 0; b < count; b++ {
+			g += d[b*out+j]
+		}
+		vr[in] = momentum*vr[in] - scale*g
+		wr[in] += vr[in]
 	}
 }
