@@ -423,15 +423,20 @@ func BenchmarkConvolutionTopMScalarSweep(b *testing.B) {
 }
 
 // BenchmarkConvolutionTopMBatched is the new engine: blocked batch
-// prediction plus conservative bound pruning, bit-identical results.
+// prediction plus conservative bound pruning, bit-identical results. It
+// also reports the sweep's exact forward passes (exact/op), a count that
+// repeats exactly for a given GOMAXPROCS: the work the best-first screen
+// leaves to the float64 reference.
 func BenchmarkConvolutionTopMBatched(b *testing.B) {
 	m := convolutionModel(b)
+	exact := m.TopMIncremental(200, nil).Scored
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := m.TopM(200); len(got) != 200 {
 			b.Fatal("short result")
 		}
 	}
+	b.ReportMetric(float64(exact), "exact/op")
 }
 
 // BenchmarkConvolutionTopMEngines runs the same full-space top-200 sweep

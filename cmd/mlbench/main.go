@@ -73,12 +73,12 @@ const (
 )
 
 // endpointNames are the report keys. The top-M endpoint reports as
-// topm_full, the name CI's STRICT_ENDPOINTS gate pins, but it does not
-// measure a full-space sweep: the daemon caches each model's top-M
-// answer, so past the warmup nearly every request is a cache hit (the
-// committed baselines show mltuned_topm_cache_hits_total equal to the
-// request count). The -mix alias stays "topm".
-var endpointNames = [numEndpoints]string{"predict_single", "predict_batch", "topm_full"}
+// topm_cached because it measures cache hits, not a full-space sweep:
+// the daemon caches each model's top-M answer, so past the warmup
+// nearly every request is a cache hit (the committed baselines show
+// mltuned_topm_cache_hits_total equal to the request count). The -mix
+// alias stays "topm".
+var endpointNames = [numEndpoints]string{"predict_single", "predict_batch", "topm_cached"}
 
 func main() {
 	var (

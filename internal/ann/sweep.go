@@ -33,8 +33,12 @@ import (
 // round trip of H·8 bytes per configuration, and a step to the next
 // tile only recomputes the rows from the lowest changed digit down:
 // amortised over a full sweep that is well under one vector add per
-// configuration. The trailing fixed features (a portable model's bound
-// device tail) fold into base once at construction.
+// configuration. Rows are rebuilt lazily: seek and bump only mark the
+// rows below the changed digit stale, and row rebuilds them when first
+// read, so a subtree skip or a unit floor (Floor) that never descends
+// pays no adds for the rows it never reads. The trailing fixed features
+// (a portable model's bound device tail) fold into base once at
+// construction.
 //
 // This is only sound because the accumulators are integers: integer
 // addition is exact and order-independent, so the incremental, fused
@@ -45,6 +49,11 @@ import (
 // argument, which is why the fixed-point engine wins the full-space
 // sweep: the per-config cost drops to the sigmoid lookups and the
 // output dot.
+//
+// The same per-slot relaxation that lets BoundsCeil skip a subtree
+// also floors one up front: Floor lower-bounds every configuration of an
+// aligned subtree for the price of one finish, so the top-M sweep can
+// order its units best-first and stop before walking the rest.
 //
 // A sweeper is single-goroutine state over an immutable
 // QuantizedEnsemble; each sweep worker builds its own.
@@ -57,8 +66,9 @@ type QuantSweeper struct {
 	base []int64
 	// prefix[p][j] is the running pre-activation after positions 0..p;
 	// only positions 0..P-2 are materialised — the last position is fused
-	// into the finishing pass.
+	// into the finishing pass. Rows from fresh on are stale (see row).
 	prefix [][]int64
+	fresh  int
 	arity  []int64
 	digits []int
 	// actA/actB are single-sample buffers for members with more than one
@@ -166,21 +176,18 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 func (s *QuantSweeper) Size() int64 { return s.size }
 
 // seek positions the sweeper so the next produced index is idx: decode
-// the digits, rebuild the materialised prefix rows.
+// the digits and mark every prefix row stale.
 func (s *QuantSweeper) seek(idx int64) {
 	rem := idx
 	for p := len(s.digits) - 1; p >= 0; p-- {
 		s.digits[p] = int(rem % s.arity[p])
 		rem /= s.arity[p]
 	}
-	for p := range s.prefix {
-		s.addRow(p)
-	}
+	s.fresh = 0
 	s.cur = idx
 }
 
-// carry rolls the odometer past an exhausted last digit and rebuilds
-// the prefix rows from the lowest changed position down. The caller
+// carry rolls the odometer past an exhausted last digit. The caller
 // guarantees at least one more index exists.
 func (s *QuantSweeper) carry() {
 	s.digits[len(s.digits)-1] = 0
@@ -188,41 +195,43 @@ func (s *QuantSweeper) carry() {
 }
 
 // bump advances the digit at position p by one, propagating carries
-// towards position 0, and rebuilds the prefix rows from the changed
-// position down. The caller guarantees the odometer has room.
+// towards position 0, and marks the prefix rows from the changed
+// position down stale. The caller guarantees the odometer has room.
 func (s *QuantSweeper) bump(p int) {
 	for int64(s.digits[p]+1) == s.arity[p] {
 		s.digits[p] = 0
 		p--
 	}
 	s.digits[p]++
-	for ; p < len(s.prefix); p++ {
-		s.addRow(p)
-	}
+	s.fresh = min(s.fresh, p)
 }
 
-// addRow recomputes prefix[p] = predecessor + contrib[p][digit_p].
-func (s *QuantSweeper) addRow(p int) {
-	src := s.base
-	if p > 0 {
-		src = s.prefix[p-1]
+// row returns prefix[p], first rebuilding the stale rows up to it:
+// prefix[r] = prefix[r-1] + contrib[r][digit_r], with base before row 0.
+func (s *QuantSweeper) row(p int) []int64 {
+	for ; s.fresh <= p; s.fresh++ {
+		r := s.fresh
+		src := s.base
+		if r > 0 {
+			src = s.prefix[r-1]
+		}
+		c := s.contrib[r][s.digits[r]*s.H : (s.digits[r]+1)*s.H]
+		dst := s.prefix[r]
+		_ = dst[len(src)-1]
+		for j, v := range src {
+			dst[j] = v + c[j]
+		}
 	}
-	c := s.contrib[p][s.digits[p]*s.H : (s.digits[p]+1)*s.H]
-	dst := s.prefix[p]
-	_ = dst[len(src)-1]
-	for j, v := range src {
-		dst[j] = v + c[j]
-	}
+	return s.prefix[p]
 }
 
-// parentRow returns the accumulator row shared by the current tile: the
-// prefix through positions 0..P-2, or base when the space has a single
-// position.
-func (s *QuantSweeper) parentRow() []int64 {
-	if len(s.prefix) == 0 {
+// rowAbove returns the accumulator row a subtree spanning positions
+// p..P-1 starts from: the prefix through position p-1, or base for p 0.
+func (s *QuantSweeper) rowAbove(p int) []int64 {
+	if p == 0 {
 		return s.base
 	}
-	return s.prefix[len(s.prefix)-1]
+	return s.row(p - 1)
 }
 
 // finish computes one configuration's raw ensemble output from the
@@ -232,11 +241,11 @@ func (s *QuantSweeper) parentRow() []int64 {
 // float accumulation order mirrors PredictBatchQ14 exactly, so the
 // result is bit-identical to the batch path.
 func (s *QuantSweeper) finish(parent, c []int64) float64 {
-	lut := s.q.lut
+	lut := (*[qLutSize]int16)(s.q.lut)
 	sum := 0.0
 	off := 0
 	for _, layers := range s.q.members {
-		l0 := layers[0]
+		l0 := &layers[0]
 		if l0.linear {
 			// Single-layer member: parent+contrib is the linear output's
 			// accumulator (bias folded into base), so finishing is one add
@@ -250,19 +259,25 @@ func (s *QuantSweeper) finish(parent, c []int64) float64 {
 			// and the output dot. The output dot accumulates in the same
 			// 4-chain order as dotQ so the integer value — and therefore the
 			// float conversion — is identical (integer addition is
-			// associative).
-			lOut := layers[1]
-			w := lOut.w
+			// associative). The loop condition restates every length so the
+			// compiler drops the bounds checks from the body, and the no-op
+			// mask (shifts stay far below 64) spares each shift its
+			// out-of-range fix-up.
+			lOut := &layers[1]
+			shift := l0.shift & 63
+			w := lOut.w[:l0.out]
+			pr := parent[off : off+len(w)]
+			cr := c[off : off+len(w)]
 			var a0, a1, a2, a3 int64
-			j := 0
-			for ; j+4 <= l0.out; j += 4 {
-				a0 += int64(w[j]) * int64(lut[lutCell(parent[off+j]+c[off+j], l0.shift)])
-				a1 += int64(w[j+1]) * int64(lut[lutCell(parent[off+j+1]+c[off+j+1], l0.shift)])
-				a2 += int64(w[j+2]) * int64(lut[lutCell(parent[off+j+2]+c[off+j+2], l0.shift)])
-				a3 += int64(w[j+3]) * int64(lut[lutCell(parent[off+j+3]+c[off+j+3], l0.shift)])
+			for len(w) >= 4 && len(pr) >= 4 && len(cr) >= 4 {
+				a0 += int64(w[0]) * int64(lut[lutCell(pr[0]+cr[0], shift)])
+				a1 += int64(w[1]) * int64(lut[lutCell(pr[1]+cr[1], shift)])
+				a2 += int64(w[2]) * int64(lut[lutCell(pr[2]+cr[2], shift)])
+				a3 += int64(w[3]) * int64(lut[lutCell(pr[3]+cr[3], shift)])
+				w, pr, cr = w[4:], pr[4:], cr[4:]
 			}
-			for ; j < l0.out; j++ {
-				a0 += int64(w[j]) * int64(lut[lutCell(parent[off+j]+c[off+j], l0.shift)])
+			for j := range w {
+				a0 += int64(w[j]) * int64(lut[lutCell(pr[j]+cr[j], shift)])
 			}
 			sum += float64(lOut.b[0]+a0+a1+a2+a3) * lOut.invOut
 			off += l0.out
@@ -276,7 +291,8 @@ func (s *QuantSweeper) finish(parent, c []int64) float64 {
 			cur[j] = lut[lutCell(parent[off+j]+c[off+j], l0.shift)]
 		}
 		nxt := s.actB
-		for _, l := range layers[1:] {
+		for li := 1; li < len(layers); li++ {
+			l := &layers[li]
 			if l.linear {
 				sum += float64(l.b[0]+dotQ(l.w[:l.in], cur)) * l.invOut
 				break
@@ -294,16 +310,10 @@ func (s *QuantSweeper) finish(parent, c []int64) float64 {
 }
 
 // lutCell maps an accumulator onto the sigmoid grid, clamped: the shared
-// cell arithmetic of forwardMember and the sweeper.
+// cell arithmetic of forwardMember and the sweeper. The clamp is
+// branch-free, and its result always indexes a [qLutSize] table.
 func lutCell(acc int64, shift uint) int {
-	cell := int(acc>>shift) + qLutSize/2
-	if cell < 0 {
-		return 0
-	}
-	if cell >= qLutSize {
-		return qLutSize - 1
-	}
-	return cell
+	return min(max(int(acc>>shift)+qLutSize/2, 0), qLutSize-1)
 }
 
 // Bounds writes conservative raw-output brackets for the n sequential
@@ -328,7 +338,7 @@ func (s *QuantSweeper) Bounds(start int64, n int, lb, ub []float64) {
 	lastContrib := s.contrib[P-1]
 	i := 0
 	for i < n {
-		parent := s.parentRow()
+		parent := s.rowAbove(P - 1) // shared by the whole tile
 		v := s.digits[P-1]
 		run := lastAr - v
 		if run > n-i {
@@ -457,11 +467,7 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 				if s.subSize[p] > int64(n-i) {
 					continue
 				}
-				row := s.base
-				if p > 0 {
-					row = s.prefix[p-1]
-				}
-				if s.finish(row, s.pickTail[p])-bound > ceil {
+				if s.finish(s.rowAbove(p), s.pickTail[p])-bound > ceil {
 					for k := int64(0); k < s.subSize[p]; k++ {
 						lb[i] = math.Inf(1)
 						ub[i] = math.Inf(1)
@@ -479,7 +485,7 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 				continue
 			}
 		}
-		parent := s.parentRow()
+		parent := s.rowAbove(P - 1) // shared by the whole tile
 		v := s.digits[P-1]
 		run := lastAr - v
 		if run > n-i {
@@ -498,4 +504,33 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 			s.digits[P-1] = v + run
 		}
 	}
+}
+
+// Floor returns a lower bound on every lb Bounds reports inside the
+// aligned subtree [start, start+n): n must be the configuration count of
+// a suffix of positions (a product of the last arities) and start a
+// multiple of it. The value is the one BoundsCeil compares against its
+// ceiling before skipping that subtree — its suffix relaxation finished
+// from the subtree's prefix row, minus the bracket's bound — so a caller
+// that compares a floor against the same ceiling skips exactly what
+// BoundsCeil would. ok is false when the topology has no prune tables
+// (initPrune refuses deeper members): there is no floor.
+func (s *QuantSweeper) Floor(start, n int64) (floor float64, ok bool) {
+	if !s.pruneInit {
+		s.initPrune()
+	}
+	if s.pickTail == nil {
+		return 0, false
+	}
+	p := 0
+	for p < len(s.subSize) && s.subSize[p] != n {
+		p++
+	}
+	if p == len(s.subSize) || start < 0 || start%n != 0 || start >= s.size {
+		panic("ann: sweeper Floor range is not an aligned subtree")
+	}
+	if start != s.cur {
+		s.seek(start)
+	}
+	return s.finish(s.rowAbove(p), s.pickTail[p]) - s.q.bound, true
 }

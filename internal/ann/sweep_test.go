@@ -235,9 +235,65 @@ func TestSweeperBoundsCeil(t *testing.T) {
 	}
 }
 
-// TestSweeperZeroAlloc pins that a sweeping Bounds pass allocates
-// nothing: the sweeper exists to make full-space screening cheap, and a
-// per-block allocation would show up a hundred thousand times per sweep.
+// TestSweeperFloor pins the unit floor's contract: over every
+// conformance topology, for every depth and every aligned subtree, Floor
+// is at most every lb Bounds reports inside that subtree, and a topology
+// without prune tables (deep members) reports no floor at all. The same
+// sweeper answers a one-index Bounds after each floor, so the odometer
+// and its lazily rebuilt rows stay consistent across floor queries.
+func TestSweeperFloor(t *testing.T) {
+	for _, ec := range engineCases(t) {
+		q := quantize16(t, ec.e)
+		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(67))
+			sp := newSweepSpace(rng, q.InputDim())
+			ref, err := q.NewIndexSweeper(sp.levels, sp.tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLb := make([]float64, sp.size)
+			wantUb := make([]float64, sp.size)
+			ref.Bounds(0, int(sp.size), wantLb, wantUb)
+
+			sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deep := len(ec.e.nets[0].weights) > 2
+			lb := make([]float64, 1)
+			ub := make([]float64, 1)
+			n := int64(1)
+			for p := len(sp.levels) - 1; p >= 0; p-- {
+				n *= int64(len(sp.levels[p]))
+				for start := int64(0); start < sp.size; start += n {
+					floor, ok := sw.Floor(start, n)
+					if ok == deep {
+						t.Fatalf("Floor(%d, %d) ok = %v for a topology with deep = %v", start, n, ok, deep)
+					}
+					if !ok {
+						continue
+					}
+					for idx := start; idx < start+n; idx++ {
+						if floor > wantLb[idx] {
+							t.Fatalf("Floor(%d, %d) = %g above index %d's lb %g", start, n, floor, idx, wantLb[idx])
+						}
+					}
+					mid := start + n/2
+					sw.Bounds(mid, 1, lb, ub)
+					if lb[0] != wantLb[mid] || ub[0] != wantUb[mid] {
+						t.Fatalf("after Floor(%d, %d): index %d [%g, %g] != in-order [%g, %g]",
+							start, n, mid, lb[0], ub[0], wantLb[mid], wantUb[mid])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSweeperZeroAlloc pins that a sweeping Bounds pass and a unit
+// Floor query allocate nothing: the sweeper exists to make full-space
+// screening cheap, and a per-block allocation would show up a hundred
+// thousand times per sweep.
 func TestSweeperZeroAlloc(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
@@ -254,6 +310,7 @@ func TestSweeperZeroAlloc(t *testing.T) {
 		lb := make([]float64, n)
 		ub := make([]float64, n)
 		if allocs := testing.AllocsPerRun(20, func() {
+			sw.Floor(0, sp.size)
 			sw.Bounds(0, n, lb, ub)
 			if rest := sp.size - int64(n); rest > 0 {
 				m := n
@@ -263,7 +320,7 @@ func TestSweeperZeroAlloc(t *testing.T) {
 				sw.Bounds(int64(n), m, lb, ub)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s/%s: Bounds allocated %.1f times per sweep pass", ec.name, q.Name(), allocs)
+			t.Errorf("%s/%s: Floor and Bounds allocated %.1f times per sweep pass", ec.name, q.Name(), allocs)
 		}
 	}
 }

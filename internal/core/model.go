@@ -447,14 +447,18 @@ func (p Predicted) less(q Predicted) bool {
 // blocks through the int16 sweeper, whichever engine the view selected,
 // and feeds a bounded top-heap; only configurations whose conservative
 // lower bound could still beat the heap's worst entry pay the exact
-// reference forward pass. The heap never holds an approximated score —
-// every value that ranks configurations is exact — so the returned set
-// and order are identical under every engine and every worker count:
-// pruning never changes emitted values (a pruned configuration provably
-// loses to M already-seen ones), block predictions are bit-identical to
-// the scalar path, and the (Seconds, Index) order is total. A model the
-// int16 quantiser refuses is scored exactly in full: same answer, no
-// pruning.
+// reference forward pass. Workers visit their partition best-first:
+// units (aligned subtrees of up to sweepUnitMax configurations) in order
+// of their screen floor, stopping at the first unit whose floor cannot
+// beat the full heap, so the ceiling tightens early and few
+// configurations survive to the exact pass. The heap never holds an
+// approximated score — every value that ranks configurations is exact —
+// so the returned set and order are identical under every engine and
+// every worker count: pruning never changes emitted values (a pruned
+// configuration provably loses to M already-seen ones), block
+// predictions are bit-identical to the scalar path, and the (Seconds,
+// Index) order is total. A model the int16 quantiser refuses is scored
+// exactly in full, in index order: same answer, no pruning.
 func (m *Model) TopM(M int) []Predicted {
 	top, _ := m.topMSweep(M, runtime.GOMAXPROCS(0), nil)
 	return top
@@ -525,6 +529,59 @@ func (m *Model) topM(M, workers int) []Predicted {
 	return top
 }
 
+// sweepUnitMax caps the size of a best-first sweep unit: eight
+// prediction blocks, few enough units per worker that flooring and
+// sorting them is negligible, fine enough that the first units' exact
+// scores already sit near the final ceiling.
+const sweepUnitMax = 8 * predictBlock
+
+// sweepUnit is one best-first unit of a worker's partition: the
+// configurations [lo, hi) and a lower bound on their raw screen lb.
+type sweepUnit struct {
+	lo, hi int64
+	floor  float64
+}
+
+// unitSize returns the configuration count of the best-first sweep's
+// units: the largest digit-aligned subtree — a product of the last
+// parameters' arities, in tuning.Space.At's layout — no larger than
+// sweepUnitMax, and at least one last-parameter tile.
+func (m *Model) unitSize() int64 {
+	params := m.space.Params()
+	n := int64(len(params[len(params)-1].Values))
+	for i := len(params) - 2; i >= 0 && n*int64(len(params[i].Values)) <= sweepUnitMax; i-- {
+		n *= int64(len(params[i].Values))
+	}
+	return n
+}
+
+// floorUnits splits the partition [lo, hi) into units aligned to
+// multiples of n and returns them sorted by (floor, lo). A whole unit's
+// floor comes from the sweeper; a unit cut by a partition edge gets
+// −Inf, so it is visited first and never skipped. It returns nil when
+// the sweeper has no floor (a topology without prune tables).
+func floorUnits(sweep *ann.QuantSweeper, lo, hi, n int64) []sweepUnit {
+	var units []sweepUnit
+	for u := lo - lo%n; u < hi; u += n {
+		unit := sweepUnit{lo: max(u, lo), hi: min(u+n, hi), floor: math.Inf(-1)}
+		if unit.lo == u && unit.hi == u+n {
+			f, ok := sweep.Floor(u, n)
+			if !ok {
+				return nil
+			}
+			unit.floor = f
+		}
+		units = append(units, unit)
+	}
+	sort.Slice(units, func(i, j int) bool {
+		if units[i].floor != units[j].floor {
+			return units[i].floor < units[j].floor
+		}
+		return units[i].lo < units[j].lo
+	})
+	return units
+}
+
 // topMSweep is the full-space sweep behind TopM and TopMIncremental.
 // seeds, when non-empty, are *exact* reference-scored predictions
 // pre-offered into every worker's heap (the incremental warm start):
@@ -532,6 +589,15 @@ func (m *Model) topM(M, workers int) []Predicted {
 // against a near-final threshold. Seed indices may also fall inside a
 // worker's partition; the merge deduplicates by index, which is safe
 // because both offers carry the identical exact score.
+//
+// Each worker sweeps its partition unit by unit in floor order
+// (floorUnits). Once its heap is full it stops at the first unit whose
+// floor exceeds the ceiling BoundsCeil skips against: every later unit's
+// floor is at least as high, so none of its configurations could enter
+// the heap. A worker shares no state with the others, so the exact-pass
+// count is a function of (model, M, workers, seeds) alone. An unscreened
+// model, or one whose topology has no floor, walks its partition as one
+// unit in index order.
 //
 // It returns the merged top M and the number of exact forward passes
 // paid — the cost the incremental path exists to shrink.
@@ -552,6 +618,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		workers = int(size)
 	}
 	chunk := (size + int64(workers) - 1) / int64(workers)
+	unit := m.unitSize()
 
 	// The heap only ever ranks exact scores, so the exact pass always
 	// runs the float64 reference. Screening runs through the int16
@@ -595,10 +662,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		go func(w int) {
 			defer wg.Done()
 			lo := int64(w) * chunk
-			hi := lo + chunk
-			if hi > size {
-				hi = size
-			}
+			hi := min(lo+chunk, size)
 			exact := m.newRefBatchScratch()
 			var sweep *ann.QuantSweeper
 			if screen != nil {
@@ -611,77 +675,87 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 			ub := make([]float64, exact.block)
 			survivors := make([]int64, 0, exact.block)
 			prune := sweep != nil && m.canPrune()
+			units := []sweepUnit{{lo: lo, hi: hi, floor: math.Inf(-1)}}
+			if prune {
+				if floored := floorUnits(sweep, lo, hi, unit); floored != nil {
+					units = floored
+				}
+			}
 			var scored int64
 			best := newTopHeap(M)
 			for _, p := range seeds {
 				best.offer(p)
 			}
-			// seedIdx is sorted and indices are scanned in order, so one
-			// cursor skips the already-scored seeds in O(1) per index.
-			nextSeed := sort.Search(len(seedIdx), func(i int) bool { return seedIdx[i] >= lo })
-			for blockLo := lo; blockLo < hi; blockLo += int64(exact.block) {
-				blockHi := blockLo + int64(exact.block)
-				if blockHi > hi {
-					blockHi = hi
+			for _, u := range units {
+				// BoundsCeil's subtree-skip test; later floors are no lower.
+				if prune && best.full() && u.floor > m.rawCeil(best.worst().Seconds)+2*predictBoundMargin {
+					break
 				}
-				if prune && best.full() {
-					// Screening pass over the sequential block: keep only
-					// configurations whose conservative lower bound could
-					// still enter the heap. Seed indices are screened too
-					// (the sweeper walks the contiguous range) but never
-					// collected — their exact scores already sit in the heap.
-					n := int(blockHi - blockLo)
-					// The admission test runs in raw output space: rawCeil
-					// accepts a superset of what finishing each lower bound
-					// and comparing times would (including the equal-time,
-					// lower-index tie the total order admits), and the extra
-					// admissions are resolved by the exact pass like any
-					// other survivor.
-					rawWorst := m.rawCeil(best.worst().Seconds)
-					// The sweeper may skip (+Inf) whole subtrees it proves
-					// above the ceiling. One extra margin on the ceiling keeps
-					// the skip strictly conservative against the admission test
-					// below even at the ulp level: the sweeper proves lb >
-					// ceil, the test needs lb − margin > rawWorst to reject,
-					// and the margin towers over every rounding step between
-					// the two expressions.
-					sweep.BoundsCeil(blockLo, n, lb, ub, rawWorst+2*predictBoundMargin)
-					survivors = survivors[:0]
-					for k := 0; k < n; k++ {
-						idx := blockLo + int64(k)
+				// seedIdx is sorted and a unit's indices are scanned in
+				// order, so one cursor skips the already-scored seeds in
+				// O(1) per index.
+				nextSeed := sort.Search(len(seedIdx), func(i int) bool { return seedIdx[i] >= u.lo })
+				for blockLo := u.lo; blockLo < u.hi; blockLo += int64(exact.block) {
+					blockHi := min(blockLo+int64(exact.block), u.hi)
+					if prune && best.full() {
+						// Screening pass over the sequential block: keep only
+						// configurations whose conservative lower bound could
+						// still enter the heap. Seed indices are screened too
+						// (the sweeper walks the contiguous range) but never
+						// collected — their exact scores already sit in the heap.
+						n := int(blockHi - blockLo)
+						// The admission test runs in raw output space: rawCeil
+						// accepts a superset of what finishing each lower bound
+						// and comparing times would (including the equal-time,
+						// lower-index tie the total order admits), and the extra
+						// admissions are resolved by the exact pass like any
+						// other survivor.
+						rawWorst := m.rawCeil(best.worst().Seconds)
+						// The sweeper may skip (+Inf) whole subtrees it proves
+						// above the ceiling. One extra margin on the ceiling keeps
+						// the skip strictly conservative against the admission test
+						// below even at the ulp level: the sweeper proves lb >
+						// ceil, the test needs lb − margin > rawWorst to reject,
+						// and the margin towers over every rounding step between
+						// the two expressions.
+						sweep.BoundsCeil(blockLo, n, lb, ub, rawWorst+2*predictBoundMargin)
+						survivors = survivors[:0]
+						for k := 0; k < n; k++ {
+							idx := blockLo + int64(k)
+							if nextSeed < len(seedIdx) && seedIdx[nextSeed] == idx {
+								nextSeed++
+								continue
+							}
+							if lb[k]-predictBoundMargin <= rawWorst {
+								survivors = append(survivors, idx)
+							}
+						}
+						if len(survivors) == 0 {
+							continue
+						}
+						preds = m.PredictIndices(survivors, exact, preds[:0])
+						scored += int64(len(survivors))
+						for k, t := range preds {
+							best.offer(Predicted{Index: survivors[k], Seconds: t})
+						}
+						continue
+					}
+					idxs = idxs[:0]
+					for idx := blockLo; idx < blockHi; idx++ {
 						if nextSeed < len(seedIdx) && seedIdx[nextSeed] == idx {
 							nextSeed++
 							continue
 						}
-						if lb[k]-predictBoundMargin <= rawWorst {
-							survivors = append(survivors, idx)
-						}
+						idxs = append(idxs, idx)
 					}
-					if len(survivors) == 0 {
+					if len(idxs) == 0 {
 						continue
 					}
-					preds = m.PredictIndices(survivors, exact, preds[:0])
-					scored += int64(len(survivors))
+					preds = m.PredictIndices(idxs, exact, preds[:0])
+					scored += int64(len(idxs))
 					for k, t := range preds {
-						best.offer(Predicted{Index: survivors[k], Seconds: t})
+						best.offer(Predicted{Index: idxs[k], Seconds: t})
 					}
-					continue
-				}
-				idxs = idxs[:0]
-				for idx := blockLo; idx < blockHi; idx++ {
-					if nextSeed < len(seedIdx) && seedIdx[nextSeed] == idx {
-						nextSeed++
-						continue
-					}
-					idxs = append(idxs, idx)
-				}
-				if len(idxs) == 0 {
-					continue
-				}
-				preds = m.PredictIndices(idxs, exact, preds[:0])
-				scored += int64(len(idxs))
-				for k, t := range preds {
-					best.offer(Predicted{Index: idxs[k], Seconds: t})
 				}
 			}
 			results[w] = best.items()

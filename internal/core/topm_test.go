@@ -283,6 +283,87 @@ func TestTopMScreenIsEngineIndependent(t *testing.T) {
 	}
 }
 
+// unitTestModel fits a small model (k=3, hidden 8) over a 32,768-point
+// space whose trailing parameters form 256-configuration units — the
+// next parameter's 16 levels would overshoot sweepUnitMax — so even
+// eight workers hold 16 units each, and the best-first order and the
+// early stop really engage. trainedTestModel's space is one unit.
+func unitTestModel(t testing.TB) *Model {
+	t.Helper()
+	space := tuning.NewSpace("units",
+		tuning.Pow2Param("x", 1, 128), // 8
+		tuning.NewParam("u", 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
+		tuning.Pow2Param("y", 1, 128),    // 8
+		tuning.NewParam("a", 1, 2, 3, 4), // 4
+		tuning.Pow2Param("w", 1, 8),      // 4
+		tuning.BoolParam("z"),            // 2
+	)
+	rng := rand.New(rand.NewSource(91))
+	samples := make([]Sample, 0, 300)
+	for _, cfg := range space.Sample(rng, 300) {
+		lx := math.Log2(float64(cfg.Value("x")))
+		ly := math.Log2(float64(cfg.Value("y")))
+		u := float64(cfg.Value("u"))
+		secs := 0.5 + (lx-4)*(lx-4) + 0.3*(ly-2)*(ly-2) + 0.05*(u-6)*(u-6) + 0.1*float64(cfg.Value("a"))
+		if cfg.Bool("z") {
+			secs *= 1.2
+		}
+		samples = append(samples, Sample{Config: cfg, Seconds: secs})
+	}
+	mc := DefaultModelConfig(91)
+	mc.Ensemble.K = 3
+	mc.Ensemble.Hidden = 8
+	mc.Ensemble.Train = ann.TrainConfig{Epochs: 60, LearningRate: 0.3, Momentum: 0.9, BatchSize: 8}
+	model, err := TrainModel(space, samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// TestTopMBestFirstUnits pins the best-first sweep against the scalar
+// specification where it has room to reorder: ragged partitions (units
+// cut by worker edges), M from one to several units' worth, cold and
+// seeded sweeps — the seeds include the worst-predicted configurations,
+// which sit in units the early stop skips — and a Scored that repeats
+// exactly and shows the screen and the early stop engaged.
+func TestTopMBestFirstUnits(t *testing.T) {
+	m := unitTestModel(t)
+	size := m.Space().Size()
+	if units := size / m.unitSize(); units < 16*8 {
+		t.Fatalf("%d units over %d configs: eight workers would hold fewer than 16 each", units, size)
+	}
+	all := bruteTopM(m, int(size))
+	for _, M := range []int{1, 50, 2500} {
+		want := all[:M]
+		// Seeds: the worst M/2+1 configurations and a stretch of the true
+		// ranking that straddles rank M.
+		top := append([]Predicted(nil), all[size-int64(M/2+1):]...)
+		top = append(top, all[M/2:M/2+M/2+1]...)
+		seeded := &TopMResult{M: M, Top: top}
+		for _, workers := range []int{1, 2, 3, 5, 8} {
+			cold := m.topMIncremental(M, workers, nil)
+			if !samePredicted(cold.Top, want) {
+				t.Fatalf("M=%d workers=%d: cold result differs from the specification", M, workers)
+			}
+			if M == 50 && cold.Scored*4 >= size {
+				t.Errorf("M=%d workers=%d: cold sweep scored %d of %d configs, want under a quarter",
+					M, workers, cold.Scored, size)
+			}
+			for rep := 0; rep < 2; rep++ {
+				if again := m.topMIncremental(M, workers, nil); again.Scored != cold.Scored {
+					t.Fatalf("M=%d workers=%d: Scored %d then %d on a repeated cold sweep",
+						M, workers, cold.Scored, again.Scored)
+				}
+			}
+			warm := m.topMIncremental(M, workers, seeded)
+			if !samePredicted(warm.Top, want) {
+				t.Fatalf("M=%d workers=%d: seeded result differs from the specification", M, workers)
+			}
+		}
+	}
+}
+
 // withEnsemble returns m over a modified copy of its ensemble: edit gets
 // the exported state and changes it in place.
 func withEnsemble(t *testing.T, m *Model, edit func(st *ann.EnsembleState)) *Model {

@@ -242,6 +242,7 @@ func (e *serveEntry) topMCached(M int) []Prediction {
 	if prev != nil {
 		e.m.topmSeeded()
 	}
+	e.m.topmSweep(res.Scored, e.model.Space().Size())
 	out := make([]Prediction, len(res.Top))
 	for i, p := range res.Top {
 		cfg := e.model.Space().At(p.Index)

@@ -111,6 +111,8 @@ type cacheMetrics struct {
 	topmHits      *telemetry.Counter
 	topmMisses    *telemetry.Counter
 	topmSeededC   *telemetry.Counter
+	topmExact     *telemetry.Counter
+	topmSwept     *telemetry.Counter
 	invalidations *telemetry.Counter
 	fallbacks     *telemetry.Counter
 }
@@ -155,6 +157,17 @@ func (m *cacheMetrics) topmSeeded() {
 		return
 	}
 	m.topmSeededC.Inc()
+}
+
+// topmSweep counts one sweep the serve cache ran: its exact forward
+// passes, and — when it scored anything — the size of the space it
+// covered. The two totals' ratio is the sweeps' survivor fraction.
+func (m *cacheMetrics) topmSweep(scored, size int64) {
+	if m == nil || scored == 0 {
+		return
+	}
+	m.topmExact.Add(int(scored))
+	m.topmSwept.Add(int(size))
 }
 
 func (m *cacheMetrics) invalidated() {
@@ -263,6 +276,10 @@ func newServerMetrics() *serverMetrics {
 			"Top-M queries that paid a full-space sweep."),
 		topmSeededC: reg.Counter("mltuned_topm_seeded_total",
 			"Top-M sweeps warm-started from a retained previous result (incremental reuse or seeded screening instead of a cold sweep)."),
+		topmExact: reg.Counter("mltuned_topm_exact_passes_total",
+			"Exact reference forward passes paid by top-M sweeps (the configurations that survived the int16 screen, plus re-scored seeds)."),
+		topmSwept: reg.Counter("mltuned_topm_swept_configs_total",
+			"Configurations covered by top-M sweeps that scored anything; mltuned_topm_exact_passes_total over this is the survivor fraction."),
 		invalidations: reg.Counter("mltuned_serve_cache_invalidations_total",
 			"Serve-cache invalidations (model Put or registry reload)."),
 		fallbacks: reg.Counter("mltuned_engine_fallbacks_total",

@@ -432,6 +432,37 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTopMSweepCounters pins the sweep counters: a cold top-M adds the
+// sweep's exact passes and the space size, a cache hit adds to neither,
+// and /v1/stats carries both.
+func TestTopMSweepCounters(t *testing.T) {
+	_, ts := metricsTestServer(t)
+	client := ts.Client()
+	model := trainTinyModel(t, 7)
+	want := model.TopMIncremental(5, nil).Scored
+
+	read := func() (exact, swept float64) {
+		t.Helper()
+		var st StatsResponse
+		jget(t, client, ts.URL, "/v1/stats", http.StatusOK, &st)
+		totals := st.Telemetry.CounterTotals()
+		return totals["mltuned_topm_exact_passes_total"], totals["mltuned_topm_swept_configs_total"]
+	}
+	if exact, swept := read(); exact != 0 || swept != 0 {
+		t.Fatalf("before any top-M: exact %v, swept %v", exact, swept)
+	}
+	jget(t, client, ts.URL, "/v1/topm?benchmark=convolution&device="+devQ+"&m=5", http.StatusOK, nil)
+	exact, swept := read()
+	if exact != float64(want) || swept != float64(model.Space().Size()) {
+		t.Fatalf("after a cold top-M: exact %v, swept %v; want %d and %d",
+			exact, swept, want, model.Space().Size())
+	}
+	jget(t, client, ts.URL, "/v1/topm?benchmark=convolution&device="+devQ+"&m=5", http.StatusOK, nil)
+	if e, s := read(); e != exact || s != swept {
+		t.Fatalf("a cache hit moved the sweep counters: exact %v → %v, swept %v → %v", exact, e, swept, s)
+	}
+}
+
 // TestStoreAndRegistryMetrics drives the sample store and registry
 // through a server and checks the wiring end to end: appends, corrupt
 // lines and lazy disk loads all land in the daemon's registry.

@@ -8,11 +8,14 @@
 # shared runners are noisy, STRICT_ENDPOINTS narrows the gate to the
 # endpoints whose latency is dominated by compute rather than scheduling
 # — leave it empty to gate everything. CI gates predict_single,
-# predict_batch and topm_full: all three are compute-bound (the top-M
-# sweep qualified once subtree pruning made it a per-request compute
-# kernel rather than a scheduler-visible long tail), under a 50%
-# tolerance that absorbs shared-runner noise while still catching the
-# multiples a real sweep regression produces.
+# predict_batch and topm_cached: all three are compute-bound
+# (topm_cached repeats one (model, M) query, so it times the daemon's
+# top-M cache hit, not the full-space sweep), under a 50% tolerance
+# that absorbs shared-runner noise while still catching the multiples
+# a real serve-path regression produces. Under STRICT=1 a gated
+# endpoint that is missing from either report — or a STRICT_ENDPOINTS
+# name neither report has, such as a misspelling — fails the run
+# instead of silently gating nothing.
 #
 # The run key must match before any delta is trusted: a fresh report
 # whose run.engine differs from the baseline's is refused outright (an
@@ -76,12 +79,17 @@ for key in ("workers", "target_qps", "batch_size", "top_m", "engine", "weight_fo
 def fmt_ms(v): return f"{v*1e3:8.2f}ms"
 
 regressed = []
-names = sorted(set(fresh["endpoints"]) | set(base["endpoints"]))
+missing = []
+names = sorted(set(fresh["endpoints"]) | set(base["endpoints"]) | gate_eps)
 print(f"  {'endpoint':<16} {'metric':<6} {'baseline':>10} {'fresh':>10} {'delta':>8}")
 for name in names:
     f_ep, b_ep = fresh["endpoints"].get(name), base["endpoints"].get(name)
     if f_ep is None or b_ep is None:
-        print(f"  {name:<16} only in {'baseline' if f_ep is None else 'fresh'}")
+        where = "neither report" if f_ep is None and b_ep is None else \
+            f"only in {'baseline' if f_ep is None else 'fresh'}"
+        print(f"  {name:<16} {where}")
+        if not gate_eps or name in gate_eps:
+            missing.append(f"{name} ({where})")
         continue
     rows = [("qps", b_ep["achieved_qps"], f_ep["achieved_qps"], False)]
     for q in ("p50", "p95", "p99"):
@@ -96,6 +104,11 @@ for name in names:
             print(f"  {name:<16} {metric:<6} {fmt_ms(b_v):>10} {fmt_ms(f_v):>10} {delta:>+7.1%}{mark}")
         if worse:
             regressed.append((name, f"{name}/{metric} {delta:+.1%}"))
+
+if missing:
+    print(f"bench_diff: gated endpoint(s) not in both reports: {', '.join(missing)}")
+    if strict:
+        sys.exit(1)
 
 if regressed:
     gating = [msg for ep, msg in regressed if not gate_eps or ep in gate_eps]
