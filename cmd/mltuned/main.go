@@ -49,8 +49,8 @@
 // with the machine-readable kind "read_only", and with -upstream set
 // the replica polls the train plane's GET /v1/models?since=<generation>
 // delta every -sync-interval, pulling changed model artifacts and
-// installing them through the same atomic-swap + cache-invalidation
-// path a local training job uses — a zero-downtime rollout. /readyz on
+// installing them through the same atomic slot swap a local training
+// job uses — a zero-downtime rollout. /readyz on
 // a replica answers 503 until the first successful sync; replication
 // state shows in /v1/stats and the mltuned_replication_* metrics.
 // -storage memory runs the registry and sample store in memory — the

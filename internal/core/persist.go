@@ -21,8 +21,8 @@ import (
 //	  the tuning space and model flags, the body is a gob payload; the
 //	  feature schema is implicitly tuning.ParamSchema(space).
 //	version 2 — adds the "schema" field recording the feature blocks
-//	  beyond the parameters (the device block of portable models, and
-//	  any input block). The parameter encoding is unchanged, so a v1
+//	  beyond the parameters (the device block of portable models; a
+//	  header declaring an input block is rejected). The parameter encoding is unchanged, so a v1
 //	  file loaded by this build predicts bit-identically to the build
 //	  that wrote it. Body still gob.
 //	version 3 — same header fields as v2 ("schema" present only when
@@ -96,7 +96,9 @@ type paramHeader struct {
 // schemaHeader records a schema's non-parameter blocks by feature name,
 // in encode order. Loading verifies the device names against the current
 // build's tuning.DeviceFieldNames: a model whose device features were
-// derived differently must not silently mis-predict.
+// derived differently must not silently mis-predict. Input is decoded
+// only to be rejected: no build writes an input block, and a model
+// declaring one could never be predicted with.
 type schemaHeader struct {
 	Device []string `json:"device,omitempty"`
 	Input  []string `json:"input,omitempty"`
@@ -129,10 +131,7 @@ func (m *Model) Save(w io.Writer) error {
 		Members:      m.ensemble.Size(),
 	}
 	if m.schema.TailDim() > 0 {
-		hdr.Schema = &schemaHeader{
-			Device: m.schema.DeviceFields(),
-			Input:  m.schema.InputFields(),
-		}
+		hdr.Schema = &schemaHeader{Device: m.schema.DeviceFields()}
 	}
 	line, err := json.Marshal(hdr)
 	if err != nil {
@@ -190,25 +189,24 @@ func decodeSchema(hdr *modelHeader, space *tuning.Space) (*tuning.FeatureSchema,
 	if hdr.Version == modelVersion {
 		return nil, fmt.Errorf("core: version-1 model header unexpectedly carries a schema")
 	}
-	var opts []tuning.SchemaOption
-	if len(hdr.Schema.Device) > 0 {
-		want := tuning.DeviceFieldNames()
-		if len(hdr.Schema.Device) != len(want) {
-			return nil, fmt.Errorf("core: saved model records %d device features, this build derives %d",
-				len(hdr.Schema.Device), len(want))
-		}
-		for i, name := range hdr.Schema.Device {
-			if name != want[i] {
-				return nil, fmt.Errorf("core: saved model device feature %d is %q, this build derives %q",
-					i, name, want[i])
-			}
-		}
-		opts = append(opts, tuning.WithDeviceBlock())
-	}
 	if len(hdr.Schema.Input) > 0 {
-		opts = append(opts, tuning.WithInputBlock(hdr.Schema.Input...))
+		return nil, fmt.Errorf("core: saved model declares a %d-feature input block, which no build supports", len(hdr.Schema.Input))
 	}
-	return tuning.NewFeatureSchema(space, opts...), nil
+	if len(hdr.Schema.Device) == 0 {
+		return tuning.ParamSchema(space), nil
+	}
+	want := tuning.DeviceFieldNames()
+	if len(hdr.Schema.Device) != len(want) {
+		return nil, fmt.Errorf("core: saved model records %d device features, this build derives %d",
+			len(hdr.Schema.Device), len(want))
+	}
+	for i, name := range hdr.Schema.Device {
+		if name != want[i] {
+			return nil, fmt.Errorf("core: saved model device feature %d is %q, this build derives %q",
+				i, name, want[i])
+		}
+	}
+	return tuning.NewFeatureSchema(space, tuning.WithDeviceBlock()), nil
 }
 
 // LoadModel reads a model previously written by Model.Save: it reads r

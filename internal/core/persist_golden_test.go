@@ -35,7 +35,7 @@ func saveLegacyModel(w io.Writer, m *Model, version int) error {
 		Members:      m.ensemble.Size(),
 	}
 	if version >= modelVersionV2 && m.schema.TailDim() > 0 {
-		hdr.Schema = &schemaHeader{Device: m.schema.DeviceFields(), Input: m.schema.InputFields()}
+		hdr.Schema = &schemaHeader{Device: m.schema.DeviceFields()}
 	}
 	line, err := json.Marshal(hdr)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/ann"
+	"repro/internal/devsim"
 	"repro/internal/tuning"
 )
 
@@ -150,7 +151,8 @@ func TestV4EngineTablesMatchQuantisation(t *testing.T) {
 
 // FuzzModelV4Codec feeds mutated v4 images to LoadModelBytes:
 // truncation and corruption must produce errors, never panics, and any
-// input that does load must re-save deterministically.
+// input that does load must predict (bound to a device when portable)
+// and re-save deterministically.
 func FuzzModelV4Codec(f *testing.F) {
 	space := tuning.NewSpace("fz4", tuning.Pow2Param("wg", 1, 8), tuning.BoolParam("v"))
 	var samples []Sample
@@ -176,11 +178,29 @@ func FuzzModelV4Codec(f *testing.F) {
 	corrupt := append([]byte(nil), valid.Bytes()...)
 	corrupt[len(corrupt)/2] ^= 0x40
 	f.Add(corrupt)
+	// The portable golden artifact with its device block renamed to an
+	// input block: same feature width, so only the schema check can
+	// refuse it.
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v4.mlt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Replace(golden, []byte(`"device":`), []byte(`"input": `), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModelBytes(data, nil)
 		if err != nil {
 			return // rejecting is fine; not panicking is the property
+		}
+		served := m
+		if m.Portable() {
+			desc := devsim.MustLookup(devsim.IntelI7).Descriptor()
+			if served, err = m.WithDevice(tuning.DeviceVector(&desc, nil)); err != nil {
+				t.Fatalf("loaded portable model fails to bind: %v", err)
+			}
+		}
+		if served.Space().Size() > 0 {
+			served.Predict(served.Space().At(0), served.NewScratch())
 		}
 		var once, twice bytes.Buffer
 		if err := m.Save(&once); err != nil {

@@ -16,13 +16,14 @@ import (
 
 // This file is the transport-agnostic service core: the typed request
 // and response shapes of every daemon operation, the shared error
-// taxonomy both transports render, and the API methods themselves.
-// The HTTP handlers (server.go) and the binary RPC plane (rpc.go) are
-// thin adapters over these methods — they parse their wire format into
-// the request structs, call the API, and encode the typed result or
-// *Error back out. Request semantics (validation order, model
-// resolution, shard ownership, role gating, limits) live here exactly
-// once, so the two transports cannot drift.
+// taxonomy both transports render, and the API methods themselves
+// (methods on *Server, each returning its typed result or an error
+// coercible to *Error via asError). The HTTP handlers (server.go) and
+// the binary RPC plane (rpc.go) are thin adapters over these methods —
+// they parse their wire format into the request structs, call the API,
+// and encode the typed result or *Error back out. Request semantics
+// (validation order, model resolution, shard ownership, role gating,
+// limits) live here exactly once, so the two transports cannot drift.
 
 // Machine-readable error kinds: clients branch on these, not on the
 // human-readable message. Every non-2xx HTTP response and every RPC
@@ -98,10 +99,6 @@ type Error struct {
 	// Owner names the owning shard on errKindNotOwner errors.
 	Owner *OwnerRef `json:"owner,omitempty"`
 }
-
-// apiError is the historical name of the envelope; tests decode into
-// it.
-type apiError = Error
 
 func (e *Error) Error() string { return e.Message }
 
@@ -344,31 +341,6 @@ type storageInfo struct {
 	Samples string `json:"samples"`
 }
 
-// API is the transport-agnostic service surface. *Server implements
-// it; the HTTP mux and the RPC plane are both adapters over this
-// interface, so a new transport starts from the same typed semantics.
-// Every method returns either its typed result or an error coercible
-// to *Error via asError.
-type API interface {
-	Predict(req *PredictRequest) (*PredictResponse, error)
-	PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, error)
-	TopM(req *TopMRequest) (*TopMResponse, error)
-	Models(req *ModelsRequest) (*ModelsResponse, error)
-	SampleSets(benchmark, device string) (*SamplesResponse, error)
-	Ingest(req *sampleIngestRequest) (*IngestResponse, error)
-	Submit(spec JobSpec) (*JobStatus, error)
-	Jobs() []JobStatus
-	Job(id string, after int) (*JobWithEvents, error)
-	Cancel(id string) (*JobStatus, error)
-	Train(req *trainRequest) (*JobStatus, error)
-	ReloadModels() (*ReloadResponse, error)
-	Stats() *StatsResponse
-	Health() *HealthResponse
-	Ready() *Readiness
-}
-
-var _ API = (*Server)(nil)
-
 // --- model resolution -------------------------------------------------
 
 // modelResolutionOrder documents how predict/top-M requests resolve to
@@ -391,18 +363,16 @@ const (
 
 // resolvedModel is the outcome of predict/top-M model resolution: the
 // servable (bound) model, the key it serves under, the resolution label,
-// and whether the serve cache may hold state for it. Inline-descriptor
-// resolutions are ephemeral: their keys are client-controlled, so
-// caching under them would grow the cache without bound, and the same
-// name may describe different hardware across requests.
+// and the registry slot's serve state for it. Inline-descriptor
+// resolutions are ephemeral (state nil): their keys are
+// client-controlled, so keeping state under them would grow without
+// bound, and the same name may describe different hardware across
+// requests.
 type resolvedModel struct {
-	model     *core.Model
-	key       ModelKey
-	via       string
-	ephemeral bool
-	// epoch is the serve cache's invalidation count read before the
-	// model was fetched.
-	epoch uint64
+	model *core.Model
+	key   ModelKey
+	via   string
+	state *serveState
 }
 
 // resolve maps a prediction request to a servable model, in the
@@ -419,9 +389,7 @@ type resolvedModel struct {
 // On a sharded instance it first checks ownership of the addressed
 // benchmark@device key and refuses non-owned keys with errKindNotOwner
 // naming the owner.
-func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm resolvedModel, _ *Error) {
-	epoch := s.cache.epoch.Load()
-	defer func() { rm.epoch = epoch }()
+func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (resolvedModel, *Error) {
 	fail := func(kind, format string, args ...any) (resolvedModel, *Error) {
 		return resolvedModel{}, errf(kind, format, args...)
 	}
@@ -450,11 +418,12 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm 
 
 	if desc == nil {
 		key := ModelKey{Benchmark: benchmark, Device: device}
-		m, err := s.reg.Get(key)
+		e, err := s.reg.slot(key)
 		switch {
 		case err == nil:
-			if !m.Portable() {
-				return resolvedModel{model: m, key: key, via: resolutionExact}, nil
+			if !e.model.Load().Portable() {
+				st := s.slotState(key, e)
+				return resolvedModel{model: st.model, key: key, via: resolutionExact, state: st}, nil
 			}
 			// A portable artifact stored under a concrete device name
 			// (e.g. a renamed file): still servable, bound to that device.
@@ -463,18 +432,18 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm 
 				return fail(errKindInvalid,
 					"model %s is portable but %v; pass an inline descriptor", key, verr)
 			}
-			bound, berr := s.cache.bound(key, m, vec, epoch)
+			st, berr := s.boundState(key, e, vec)
 			if berr != nil {
 				return fail(errKindInternal, "%v", berr)
 			}
-			return resolvedModel{model: bound, key: key, via: resolutionPortable}, nil
+			return resolvedModel{model: st.model, key: key, via: resolutionPortable, state: st}, nil
 		case !errors.Is(err, ErrModelNotFound):
 			return fail(errKindInternal, "%v", err)
 		}
 	}
 
 	pkey := ModelKey{Benchmark: benchmark, Device: PortableDevice}
-	pm, err := s.reg.Get(pkey)
+	pe, err := s.reg.slot(pkey)
 	if errors.Is(err, ErrModelNotFound) {
 		return fail(errKindNotFound,
 			"no model for %s@%s and no portable %s model (submit a tuning job, or POST /v1/train with device %q)",
@@ -483,6 +452,7 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm 
 	if err != nil {
 		return fail(errKindInternal, "%v", err)
 	}
+	pm := pe.model.Load()
 	if !pm.Portable() {
 		return fail(errKindInternal,
 			"model %s is not device-featurised; retrain it with device %q", pkey, PortableDevice)
@@ -496,7 +466,7 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm 
 			return fail(errKindInternal, "%v", berr)
 		}
 		return resolvedModel{model: bound, key: ModelKey{Benchmark: benchmark, Device: label},
-			via: resolutionPortable, ephemeral: true}, nil
+			via: resolutionPortable}, nil
 	}
 	vec, verr := catalogVector(device)
 	if verr != nil {
@@ -505,29 +475,29 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (rm 
 			benchmark, device, pkey, verr)
 	}
 	key := ModelKey{Benchmark: benchmark, Device: device}
-	bound, berr := s.cache.bound(key, pm, vec, epoch)
+	st, berr := s.boundState(key, pe, vec)
 	if berr != nil {
 		return fail(errKindInternal, "%v", berr)
 	}
-	return resolvedModel{model: bound, key: key, via: resolutionPortable}, nil
+	return resolvedModel{model: st.model, key: key, via: resolutionPortable, state: st}, nil
 }
 
-// predictThrough predicts cfgs through the resolved model — pooled and
-// cached for registry-backed resolutions, a throwaway scratch for
-// ephemeral ones.
+// predictThrough predicts cfgs through the resolved model — pooled
+// through the slot's serve state for registry-backed resolutions, a
+// throwaway scratch for ephemeral ones.
 func (s *Server) predictThrough(rm resolvedModel, cfgs []tuning.Config, dst []float64) []float64 {
-	if rm.ephemeral {
+	if rm.state == nil {
 		return rm.model.PredictBatchWith(cfgs, rm.model.NewBatchScratch(), dst)
 	}
-	return s.cache.entry(rm.key, rm.model, rm.epoch).predictBatch(cfgs, dst)
+	return rm.state.predictBatch(cfgs, dst)
 }
 
 // topMThrough answers a top-M query through the resolved model;
 // ephemeral resolutions pay the full sweep every time rather than
-// polluting the cache with client-controlled keys.
+// keeping state under client-controlled keys.
 func (s *Server) topMThrough(rm resolvedModel, M int) []Prediction {
-	if !rm.ephemeral {
-		return s.cache.entry(rm.key, rm.model, rm.epoch).topMCached(M)
+	if rm.state != nil {
+		return s.topMCached(rm.state, M)
 	}
 	top := rm.model.TopM(M)
 	out := make([]Prediction, len(top))
@@ -863,13 +833,12 @@ func (s *Server) Train(req *trainRequest) (*JobStatus, error) {
 	return &st, nil
 }
 
-// ReloadModels rescans the registry backend and drops cached read-path
-// state.
+// ReloadModels rescans the registry backend; the fresh slots drop every
+// loaded model with its read-path state.
 func (s *Server) ReloadModels() (*ReloadResponse, error) {
 	if err := s.reg.Reload(); err != nil {
 		return nil, errf(errKindInternal, "%v", err)
 	}
-	s.cache.invalidateAll()
 	return &ReloadResponse{Models: s.reg.Len()}, nil
 }
 

@@ -31,13 +31,13 @@ type serverMetrics struct {
 	// bare NewQueue in tests runs unmetered).
 	queue *queueMetrics
 
-	// Model registry + serve cache.
+	// Model registry and the serve state on its slots.
 	modelLoads *telemetry.Counter
 	cache      *cacheMetrics
 	// swapDuration observes model swaps end to end: registry persist (or
-	// replication install) through serve-cache invalidation — the
-	// install-to-servable latency the v4 zero-copy arena exists to keep
-	// flat as models grow.
+	// replication install) through the slot swap — the install-to-
+	// servable latency the v4 zero-copy arena exists to keep flat as
+	// models grow.
 	swapDuration *telemetry.Histogram
 
 	// Sample store.
@@ -101,26 +101,23 @@ func (m *queueMetrics) jobCanceledQueued(kind JobKind) {
 	m.completed.With(string(kind), string(JobCanceled)).Inc()
 }
 
-// cacheMetrics instruments the serve cache. Nil-receiver safe for
-// cache tests that construct newServeCache(nil).
+// cacheMetrics instruments the read path's serve state (see
+// serveState): a hit means the state already existed on the slot, a
+// miss that it was built.
 type cacheMetrics struct {
-	entryHits     *telemetry.Counter
-	entryMisses   *telemetry.Counter
-	bindHits      *telemetry.Counter
-	bindMisses    *telemetry.Counter
-	topmHits      *telemetry.Counter
-	topmMisses    *telemetry.Counter
-	topmSeededC   *telemetry.Counter
-	topmExact     *telemetry.Counter
-	topmSwept     *telemetry.Counter
-	invalidations *telemetry.Counter
-	fallbacks     *telemetry.Counter
+	entryHits   *telemetry.Counter
+	entryMisses *telemetry.Counter
+	bindHits    *telemetry.Counter
+	bindMisses  *telemetry.Counter
+	topmHits    *telemetry.Counter
+	topmMisses  *telemetry.Counter
+	topmSeededC *telemetry.Counter
+	topmExact   *telemetry.Counter
+	topmSwept   *telemetry.Counter
+	fallbacks   *telemetry.Counter
 }
 
 func (m *cacheMetrics) entry(hit bool) {
-	if m == nil {
-		return
-	}
 	if hit {
 		m.entryHits.Inc()
 	} else {
@@ -129,9 +126,6 @@ func (m *cacheMetrics) entry(hit bool) {
 }
 
 func (m *cacheMetrics) bind(hit bool) {
-	if m == nil {
-		return
-	}
 	if hit {
 		m.bindHits.Inc()
 	} else {
@@ -140,9 +134,6 @@ func (m *cacheMetrics) bind(hit bool) {
 }
 
 func (m *cacheMetrics) topm(hit bool) {
-	if m == nil {
-		return
-	}
 	if hit {
 		m.topmHits.Inc()
 	} else {
@@ -153,36 +144,23 @@ func (m *cacheMetrics) topm(hit bool) {
 // topmSeeded counts a top-M sweep that warm-started from a retained
 // previous result instead of sweeping cold.
 func (m *cacheMetrics) topmSeeded() {
-	if m == nil {
-		return
-	}
 	m.topmSeededC.Inc()
 }
 
-// topmSweep counts one sweep the serve cache ran: its exact forward
+// topmSweep counts one sweep the read path ran: its exact forward
 // passes, and — when it scored anything — the size of the space it
 // covered. The two totals' ratio is the sweeps' survivor fraction.
 func (m *cacheMetrics) topmSweep(scored, size int64) {
-	if m == nil || scored == 0 {
+	if scored == 0 {
 		return
 	}
 	m.topmExact.Add(int(scored))
 	m.topmSwept.Add(int(size))
 }
 
-func (m *cacheMetrics) invalidated() {
-	if m == nil {
-		return
-	}
-	m.invalidations.Inc()
-}
-
 // engineFallback counts a model the configured serving engine refused;
 // the read path serves it on the float64 reference instead.
 func (m *cacheMetrics) engineFallback() {
-	if m == nil {
-		return
-	}
 	m.fallbacks.Inc()
 }
 
@@ -280,8 +258,6 @@ func newServerMetrics() *serverMetrics {
 			"Exact reference forward passes paid by top-M sweeps (the configurations that survived the int16 screen, plus re-scored seeds)."),
 		topmSwept: reg.Counter("mltuned_topm_swept_configs_total",
 			"Configurations covered by top-M sweeps that scored anything; mltuned_topm_exact_passes_total over this is the survivor fraction."),
-		invalidations: reg.Counter("mltuned_serve_cache_invalidations_total",
-			"Serve-cache invalidations (model Put or registry reload)."),
 		fallbacks: reg.Counter("mltuned_engine_fallbacks_total",
 			"Models the configured -engine could not be applied to, served on the float64 reference instead."),
 	}
@@ -296,7 +272,7 @@ func newServerMetrics() *serverMetrics {
 	}
 
 	m.swapDuration = reg.Histogram("mltuned_model_swap_duration_seconds",
-		"Model swap latency, from registry persist/install start to serve-cache invalidation.",
+		"Model swap latency, from registry persist/install start to the slot swap.",
 		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1})
 
 	m.trainSamplesUsed = reg.Counter("mltuned_train_samples_used_total",

@@ -1,15 +1,20 @@
 package service
 
 import (
+	"context"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ann"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/devsim"
 	"repro/internal/mmapx"
 	"repro/internal/storage"
+	"repro/internal/tuning"
 )
 
 // TestMmapSwapLifecycle hammers the zero-copy model lifecycle under
@@ -137,26 +142,198 @@ func TestMapperBackendServesMapped(t *testing.T) {
 	}
 }
 
-// TestServeCacheSkipsSlotsAcrossInvalidation pins the race the swap
-// hammer above can hit: a request that fetched its model before a swap
-// invalidated the cache must not store a slot for that model
-// afterwards, or the replaced model stays pinned until the key's next
-// request.
-func TestServeCacheSkipsSlotsAcrossInvalidation(t *testing.T) {
-	c := newServeCache(nil, "")
-	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
-	m := trainTinyModel(t, 23)
+// trainTinyPortable fits a fast device-featurised convolution model to
+// simulated measurements from two catalog devices.
+func trainTinyPortable(t *testing.T, seed int64) *core.Model {
+	t.Helper()
+	b := bench.MustLookup("convolution")
+	rng := rand.New(rand.NewSource(seed))
+	var samples []core.Sample
+	for _, name := range []string{devsim.IntelI7, devsim.NvidiaK40} {
+		dev := devsim.MustLookup(name)
+		m, err := core.NewSimMeasurer(b, dev, bench.Size{}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc := dev.Descriptor()
+		vec := tuning.DeviceVector(&desc, nil)
+		for _, cfg := range b.Space().Sample(rng, 40) {
+			if secs, err := m.Measure(context.Background(), cfg); err == nil {
+				samples = append(samples, core.Sample{Config: cfg, Seconds: secs, Device: vec})
+			}
+		}
+	}
+	mc := core.DefaultModelConfig(seed)
+	mc.Ensemble.K = 2
+	mc.Ensemble.Hidden = 6
+	mc.Ensemble.Train.Epochs = 100
+	mc.DeviceFeatures = true
+	model, err := core.TrainModel(b.Space(), samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
 
-	epoch := c.epoch.Load()
-	c.invalidate(key)
-	if e := c.entry(key, m, epoch); e == nil || e.src != m {
-		t.Fatal("stale request got no usable slot")
+// settledMappings runs GC until mmapx.Live stops falling, so mappings
+// other tests left unreachable are closed before a test takes its
+// baseline.
+func settledMappings() int {
+	last := mmapx.Live()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		now := mmapx.Live()
+		if now == last {
+			return now
+		}
+		last = now
 	}
-	if _, ok := c.entries[key]; ok {
-		t.Fatal("slot built across an invalidation was stored")
+	return last
+}
+
+// TestSlotSwapReleasesServeState pins that a registry slot owns its
+// model's read-path state, so replacing the slot releases all of it:
+//
+//   - a portable model bound for a requesting device is released by the
+//     swap of its <bench>@* slot alone — no further request for that
+//     device is needed before GC can close the replaced mapping;
+//   - serve state a request builds on a slot it fetched before a swap
+//     stays on that stale slot: the registry's current slot cannot reach
+//     it, so it lives only as long as the request;
+//   - readers binding devices on a portable slot race its swaps safely
+//     (run under -race).
+func TestSlotSwapReleasesServeState(t *testing.T) {
+	reg, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.entry(key, m, c.epoch.Load())
-	if _, ok := c.entries[key]; !ok {
-		t.Fatal("slot built within one epoch was not stored")
+	pkey := ModelKey{Benchmark: "convolution", Device: PortableDevice}
+	portable := []*core.Model{trainTinyPortable(t, 31), trainTinyPortable(t, 32)}
+	if err := reg.Put(pkey, portable[0]); err != nil {
+		t.Fatal(err)
 	}
+	srv := newTestServer(t, reg, 1, 2)
+	if _, err := srv.ReloadModels(); err != nil { // serve @* from a mapping
+		t.Fatal(err)
+	}
+	baseline := settledMappings()
+	req := PredictRequest{Benchmark: "convolution", Device: devsim.AMD7970, HasIndex: true, Index: 5}
+	if resp, err := srv.Predict(&req); err != nil || resp.Resolution != resolutionPortable {
+		t.Fatalf("portable predict: %+v, %v", resp, err)
+	}
+	if runtime.GOOS == "linux" && mmapx.Live() != baseline+1 {
+		t.Fatalf("portable load did not map its artifact (baseline %d, live %d)", baseline, mmapx.Live())
+	}
+
+	if err := srv.swapModel(pkey, func() error { return reg.Put(pkey, portable[1]) }); err != nil {
+		t.Fatal(err)
+	}
+	for wait := 0; mmapx.Live() > baseline && wait < 100; wait++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := mmapx.Live(); got > baseline {
+		t.Fatalf("the replaced portable model's mapping is still live after the swap (baseline %d, live %d)", baseline, got)
+	}
+
+	// A request that fetched the slots before a swap builds its state
+	// after it.
+	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
+	if err := reg.Put(key, trainTinyModel(t, 33)); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := reg.slot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleP, err := reg.slot(pkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.swapModel(key, func() error { return reg.Put(key, trainTinyModel(t, 34)) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.swapModel(pkey, func() error { return reg.Put(pkey, portable[0]) }); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.slotState(key, stale)
+	vec, err := catalogVector(devsim.AMD7970)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bkey := ModelKey{Benchmark: "convolution", Device: devsim.AMD7970}
+	bst, err := srv.boundState(bkey, staleP, vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cur, err := reg.slot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curP, err := reg.slot(pkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur == stale || curP == staleP {
+		t.Fatal("the swaps did not replace the slots")
+	}
+	if cur.state.Load() == st {
+		t.Error("serve state built on a stale slot is reachable from the current slot")
+	}
+	curP.mu.Lock()
+	for dev, b := range curP.binds {
+		if b == bst {
+			t.Errorf("a binding built on a stale portable slot is reachable from the current slot (device %s)", dev)
+		}
+	}
+	curP.mu.Unlock()
+
+	// The current slots serve the new models, with state of their own.
+	if _, err := srv.Predict(&req); err != nil {
+		t.Fatal(err)
+	}
+	req.Device = devsim.IntelI7
+	if _, err := srv.Predict(&req); err != nil {
+		t.Fatal(err)
+	}
+	if got := cur.state.Load(); got == nil || got == st || got.model.Ensemble() == st.model.Ensemble() {
+		t.Error("the current slot does not serve its own model")
+	}
+	curP.mu.Lock()
+	got := curP.binds[devsim.AMD7970]
+	curP.mu.Unlock()
+	if got == nil || got == bst || got.model.Ensemble() == bst.model.Ensemble() {
+		t.Error("the current portable slot does not serve its own binding")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g, dev := range []string{devsim.AMD7970, devsim.NvidiaK40, devsim.AMD7970} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(g); ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := PredictRequest{Benchmark: "convolution", Device: dev, HasIndex: true, Index: i % 64}
+				if _, err := srv.Predict(&r); err != nil {
+					t.Errorf("reader failed mid-swap: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		if err := srv.swapModel(pkey, func() error { return reg.Put(pkey, portable[i%2]) }); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

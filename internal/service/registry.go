@@ -105,8 +105,12 @@ var ErrModelNotFound = fmt.Errorf("service: no trained model for this benchmark 
 
 // regEntry is one registry slot. Models load lazily: startup only scans
 // object names, and the first query for a key pays the backend read.
-// model is an atomic pointer so readers (List, cached Gets) never block
-// on mu, which only serialises the one load.
+// model and state are atomic pointers so readers (List, cached Gets,
+// served requests) never block on mu, which only serialises the one
+// load and the builds of the slot's serve state.
+//
+// The slot owns everything the read path builds for its model (see
+// serveState), so replacing the slot drops all of it.
 type regEntry struct {
 	name string
 	// gen is the artifact's storage generation, the replication cursor's
@@ -115,6 +119,10 @@ type regEntry struct {
 
 	mu    sync.Mutex
 	model atomic.Pointer[core.Model]
+	state atomic.Pointer[serveState]
+	// binds holds a portable model's per-device bindings, keyed by the
+	// requesting device; guarded by mu.
+	binds map[string]*serveState
 }
 
 // Registry stores trained models keyed by benchmark×device, persisted
@@ -175,10 +183,11 @@ func (r *Registry) Dir() string {
 func (r *Registry) setMetrics(loads *telemetry.Counter) { r.loads = loads }
 
 // Reload rescans the storage backend, picking up models written by
-// other processes and dropping keys whose objects disappeared. Cached
-// in-memory models are discarded, so subsequent queries re-read the
-// backend — the handler behind POST /v1/reload. Crash debris (orphaned
-// write temporaries) is swept on backends that accumulate it.
+// other processes and dropping keys whose objects disappeared. Every
+// slot is replaced, so cached in-memory models and their serve state
+// are discarded and subsequent queries re-read the backend — the
+// handler behind POST /v1/reload. Crash debris (orphaned write
+// temporaries) is swept on backends that accumulate it.
 func (r *Registry) Reload() error {
 	r.fsMu.Lock()
 	defer r.fsMu.Unlock()
@@ -218,19 +227,28 @@ func (r *Registry) Reload() error {
 // use. It returns ErrModelNotFound when the registry has no object for
 // the key.
 func (r *Registry) Get(key ModelKey) (*core.Model, error) {
+	e, err := r.slot(key)
+	if err != nil {
+		return nil, err
+	}
+	return e.model.Load(), nil
+}
+
+// slot returns key's current slot with its model loaded (see Get).
+func (r *Registry) slot(key ModelKey) (*regEntry, error) {
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	r.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrModelNotFound, key)
 	}
-	if m := e.model.Load(); m != nil {
-		return m, nil
+	if e.model.Load() != nil {
+		return e, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if m := e.model.Load(); m != nil {
-		return m, nil
+	if e.model.Load() != nil {
+		return e, nil
 	}
 	m, err := r.load(e.name)
 	if err != nil {
@@ -238,7 +256,7 @@ func (r *Registry) Get(key ModelKey) (*core.Model, error) {
 	}
 	r.loads.Inc()
 	e.model.Store(m)
-	return m, nil
+	return e, nil
 }
 
 // load reads one artifact from the backend, zero-copy when it offers

@@ -24,10 +24,10 @@ const maxArtifactBytes = 64 << 20
 // replicator is the serve plane's pull loop: it polls the train-plane
 // upstream's GET /v1/models?since=<cursor> for model slots whose
 // generation moved, fetches each changed artifact, and installs it
-// through the registry's atomic-swap path plus a serve-cache
-// invalidation — the exact path a local training job takes, so a
-// replica's rollout has the same zero-downtime property: readers keep
-// hitting the old model pointer until the swap, then the new one.
+// through the registry's atomic slot swap — the exact path a local
+// training job takes, so a replica's rollout has the same zero-downtime
+// property: readers keep hitting the old slot until the swap, then the
+// new one.
 //
 // The cursor only advances when a round installs everything it saw, so
 // a partial failure is retried from the same position rather than
@@ -106,10 +106,10 @@ func (rp *replicator) sync(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("service: replication fetch %s: %w", key, err)
 		}
-		// swapModel wraps the install with the same invalidation a local
-		// training job performs — the next read builds a fresh serve-cache
-		// slot over the new model while in-flight reads finish on the old
-		// pointer — and the same swap-duration observation.
+		// swapModel wraps the install with the same swap-duration
+		// observation a local training job gets; the next read builds
+		// serve state on the fresh slot while in-flight reads finish on
+		// the old one.
 		err = rp.s.swapModel(key, func() error {
 			_, err := rp.s.reg.Install(key, data)
 			return err

@@ -53,7 +53,7 @@ func TestServeRoleReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var apiErr apiError
+		var apiErr Error
 		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
 			t.Fatalf("%s %s: %v", m.method, m.path, err)
 		}

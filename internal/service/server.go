@@ -76,7 +76,6 @@ type Server struct {
 	reg          *Registry
 	samples      *SampleStore
 	queue        *Queue
-	cache        *serveCache
 	mux          *http.ServeMux
 	trainWorkers int
 	started      time.Time
@@ -103,6 +102,12 @@ type Server struct {
 	// engine is the read path's configured inference engine name
 	// (WithEngine); "" = the float64 reference.
 	engine string
+
+	// prevTop retains the newest top-M result per (resolved key, M) —
+	// warm-start provenance, not served data, so slot swaps never clear
+	// it (see retain).
+	prevMu  sync.Mutex
+	prevTop map[ModelKey]map[int]*core.TopMResult
 
 	// metrics is the telemetry wiring behind GET /metrics and
 	// GET /v1/stats; always non-nil. rpcm holds the RPC-plane families,
@@ -290,7 +295,7 @@ func New(reg *Registry, workers, backlog int, opts ...Option) (*Server, error) {
 	if s.ring == nil && (len(s.peers) > 0 || len(s.rpcPeers) > 0) {
 		return nil, fmt.Errorf("service: shard peers configured without a shard (use WithShard / -shard i/n)")
 	}
-	s.cache = newServeCache(s.metrics.cache, s.engine)
+	s.prevTop = make(map[ModelKey]map[int]*core.TopMResult)
 	if s.role == "" {
 		s.role = RoleAll
 	}
@@ -456,10 +461,11 @@ func (s *Server) tune(ctx context.Context, j *Job) (*core.Result, bool, error) {
 	return res, saved, nil
 }
 
-// swapModel runs one model swap — a registry Put or replication
-// Install via install, then the serve-cache invalidation that makes
-// the new model visible to the read path — and observes it end to end
-// in mltuned_model_swap_duration_seconds, stamping the last-swap time
+// swapModel runs one swap of key's model — a registry Put or
+// replication Install via install, whose fresh slot is what makes the
+// new model, and none of the old one's read-path state, visible to the
+// read path — and observes it end to end in
+// mltuned_model_swap_duration_seconds, stamping the last-swap time
 // behind last_swap_age_seconds. All three swap sites (tuning jobs,
 // training jobs, replication installs) go through it, so the histogram
 // is the install-to-servable latency regardless of where the model
@@ -469,7 +475,6 @@ func (s *Server) swapModel(key ModelKey, install func() error) error {
 	if err := install(); err != nil {
 		return err
 	}
-	s.cache.invalidate(key)
 	s.metrics.swapDuration.Observe(time.Since(start).Seconds())
 	s.lastSwap.Store(time.Now().UnixNano())
 	return nil

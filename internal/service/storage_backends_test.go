@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/devsim"
 	"repro/internal/storage"
 )
@@ -29,6 +31,24 @@ func backends(t *testing.T) map[string]func(t *testing.T) storage.Backend {
 // same backend lazily re-serves the identical model, Install validates
 // before persisting, and generations climb.
 func TestRegistryOverBackends(t *testing.T) {
+	// A portable artifact whose header declares its device block as an
+	// input block: the feature width still matches the weights, so only
+	// the schema check can refuse it.
+	var portable bytes.Buffer
+	if err := trainTinyPortable(t, 62).Save(&portable); err != nil {
+		t.Fatal(err)
+	}
+	inputBlock := bytes.Replace(portable.Bytes(), []byte(`"device":`), []byte(`"input": `), 1)
+	rejected := map[string][]byte{
+		"garbage":     []byte("garbage, not a model"),
+		"input block": inputBlock,
+	}
+	for name, data := range rejected {
+		if _, err := core.LoadModelBytes(data, nil); err == nil {
+			t.Errorf("LoadModelBytes accepted the %s artifact", name)
+		}
+	}
+
 	for name, newBackend := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			be := newBackend(t)
@@ -78,8 +98,10 @@ func TestRegistryOverBackends(t *testing.T) {
 			if gen2 <= gen {
 				t.Errorf("Install generation %d did not advance past %d", gen2, gen)
 			}
-			if _, err := reg.Install(key, []byte("garbage, not a model")); err == nil {
-				t.Error("Install accepted a non-model artifact")
+			for name, data := range rejected {
+				if _, err := reg.Install(key, data); err == nil {
+					t.Errorf("Install accepted the %s artifact", name)
+				}
 			}
 			if g := reg.Generation(); g != gen2 {
 				t.Errorf("rejected install moved the generation: %d, want %d", g, gen2)

@@ -155,8 +155,8 @@ func (s *Server) trainPreflight(spec JobSpec) (n, devices int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		samples, used, _ := pooledSamplesCount(space, sets)
-		return samples, used, nil
+		samples, used, _ := pooledSamples(space, sets)
+		return len(samples), len(used), nil
 	}
 	recs := spec.Samples
 	if len(recs) == 0 {
@@ -165,11 +165,11 @@ func (s *Server) trainPreflight(spec JobSpec) (n, devices int, err error) {
 			return 0, 0, err
 		}
 	}
-	n = countValidIn(space, recs)
-	if n > 0 {
+	samples, _ := splitRecords(space, recs)
+	if len(samples) > 0 {
 		devices = 1
 	}
-	return n, devices, nil
+	return len(samples), devices, nil
 }
 
 // pooledSets groups a portable training job's records by device label:
@@ -244,41 +244,6 @@ func pooledSamples(space *tuning.Space, sets map[string][]SampleRecord) (samples
 		devices = append(devices, label)
 	}
 	return samples, devices, skipped
-}
-
-// pooledSamplesCount is pooledSamples without materialising the set —
-// the preflight's cheap counting pass. It must agree with pooledSamples
-// on what counts: in-space valid records from catalog-resolvable
-// devices.
-func pooledSamplesCount(space *tuning.Space, sets map[string][]SampleRecord) (n, devices int, skipped int) {
-	for label, recs := range sets {
-		if _, err := devsim.Lookup(label); err != nil {
-			skipped++
-			continue
-		}
-		v := countValidIn(space, recs)
-		if v == 0 {
-			skipped++
-			continue
-		}
-		n += v
-		devices++
-	}
-	return n, devices, skipped
-}
-
-// countValidIn counts the records that would survive splitRecords as
-// training samples: in-space index, valid, positive time. Preflight
-// counting must use it so a submit-time 400 and the job's own check
-// agree on the same number.
-func countValidIn(space *tuning.Space, recs []SampleRecord) int {
-	n := 0
-	for _, rec := range recs {
-		if rec.Index >= 0 && rec.Index < space.Size() && !rec.Invalid && rec.Seconds > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // splitRecords resolves stored records against the space: valid records

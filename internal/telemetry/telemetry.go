@@ -247,12 +247,6 @@ type CounterVec struct{ f *family }
 // first use. Not for hot paths: resolve once and keep the handle.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).counter }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).gauge }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
@@ -307,13 +301,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	f := &family{name: name, help: help, kind: KindGauge}
 	r.register(f)
 	return f.child(nil).gauge
-}
-
-// GaugeVec registers a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := &family{name: name, help: help, kind: KindGauge, labelNames: labels}
-	r.register(f)
-	return &GaugeVec{f}
 }
 
 // Histogram registers and returns an unlabelled histogram (nil buckets

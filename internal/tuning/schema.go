@@ -17,9 +17,7 @@ import (
 //   - an optional device block: a fixed list of architectural features
 //     derived from a devsim.Descriptor (see DeviceFieldNames), normalised
 //     with data-independent reference scales so the same device always
-//     encodes to the same vector regardless of the training set; and
-//   - an optional input block: named pass-through features (e.g. problem
-//     size) supplied by the caller at encode time.
+//     encodes to the same vector regardless of the training set.
 //
 // A schema with only the parameter block reproduces the historical
 // encoding bit for bit — it is the layout of persistence-version-1 model
@@ -27,14 +25,13 @@ import (
 // samples from several devices share one model, and prediction for an
 // unseen device only needs its descriptor.
 //
-// The blocks after the parameter block form the "tail". The tail values
-// are supplied pre-normalised by the caller (DeviceVector for the device
-// block), so the hot encode path is a table lookup plus a copy — no
+// The device block forms the "tail" after the parameter block. Its
+// values are supplied pre-normalised by the caller (DeviceVector), so
+// the hot encode path is a table lookup plus a copy — no
 // transcendentals, no allocation when dst has capacity.
 type FeatureSchema struct {
 	enc          *Encoder
 	deviceFields []string // nil = no device block
-	inputFields  []string // nil = no input block
 }
 
 // SchemaOption customises a FeatureSchema at construction time.
@@ -44,12 +41,6 @@ type SchemaOption func(*FeatureSchema)
 // features) after the parameter block.
 func WithDeviceBlock() SchemaOption {
 	return func(s *FeatureSchema) { s.deviceFields = DeviceFieldNames() }
-}
-
-// WithInputBlock appends a named pass-through block after the device
-// block. Values are supplied per-encode as part of the tail.
-func WithInputBlock(names ...string) SchemaOption {
-	return func(s *FeatureSchema) { s.inputFields = append([]string(nil), names...) }
 }
 
 // NewFeatureSchema builds a schema over the given space.
@@ -76,9 +67,9 @@ func (s *FeatureSchema) Dim() int { return s.enc.Dim() + s.TailDim() }
 // ParamDim returns the parameter block's width (one per parameter).
 func (s *FeatureSchema) ParamDim() int { return s.enc.Dim() }
 
-// TailDim returns the combined width of the blocks after the parameter
-// block (device + input).
-func (s *FeatureSchema) TailDim() int { return len(s.deviceFields) + len(s.inputFields) }
+// TailDim returns the width of the tail after the parameter block (the
+// device block).
+func (s *FeatureSchema) TailDim() int { return len(s.deviceFields) }
 
 // HasDevice reports whether the schema includes the device block.
 func (s *FeatureSchema) HasDevice() bool { return len(s.deviceFields) > 0 }
@@ -87,11 +78,6 @@ func (s *FeatureSchema) HasDevice() bool { return len(s.deviceFields) > 0 }
 // (nil when the schema has no device block). The returned slice is
 // shared; callers must not modify it.
 func (s *FeatureSchema) DeviceFields() []string { return s.deviceFields }
-
-// InputFields returns the input block's feature names in encode order
-// (nil when the schema has no input block). The returned slice is
-// shared; callers must not modify it.
-func (s *FeatureSchema) InputFields() []string { return s.inputFields }
 
 // checkTail panics unless tail matches the schema's tail width; encode
 // is a hot path with no error return, and a mismatched tail always
@@ -106,8 +92,8 @@ func (s *FeatureSchema) checkTail(tail []float64) {
 
 // Encode appends cfg's full feature vector — parameter block then tail —
 // to dst and returns it. tail must be the schema's pre-normalised tail
-// values (device vector then input values), with length TailDim(); nil
-// for a parameter-only schema.
+// values (the device vector), with length TailDim(); nil for a
+// parameter-only schema.
 func (s *FeatureSchema) Encode(cfg Config, tail, dst []float64) []float64 {
 	s.checkTail(tail)
 	dst = s.enc.Encode(cfg, dst)

@@ -191,23 +191,3 @@ func TestSchemaTailMismatchPanics(t *testing.T) {
 	}()
 	schema.Encode(testSpace().At(0), nil, nil)
 }
-
-func TestSchemaInputBlock(t *testing.T) {
-	space := testSpace()
-	schema := NewFeatureSchema(space, WithDeviceBlock(), WithInputBlock("w", "h"))
-	if got := schema.TailDim(); got != len(DeviceFieldNames())+2 {
-		t.Fatalf("tail dim %d", got)
-	}
-	if in := schema.InputFields(); len(in) != 2 || in[0] != "w" || in[1] != "h" {
-		t.Fatalf("input fields %v", in)
-	}
-	desc := devsim.MustLookup(devsim.IntelI7).Descriptor()
-	tail := append(DeviceVector(&desc, nil), 0.25, 0.5)
-	vec := schema.Encode(space.At(3), tail, nil)
-	if len(vec) != schema.Dim() {
-		t.Fatalf("encoded %d features, want %d", len(vec), schema.Dim())
-	}
-	if vec[len(vec)-2] != 0.25 || vec[len(vec)-1] != 0.5 {
-		t.Fatalf("input block not appended: %v", vec)
-	}
-}
