@@ -10,6 +10,7 @@
 package mltune_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/devsim"
 	"repro/internal/opencl"
 	"repro/internal/service"
+	"repro/internal/tuning"
 )
 
 // runExperiment executes one registered experiment at smoke scale.
@@ -429,6 +431,82 @@ func BenchmarkConvolutionTopMScalarSweep(b *testing.B) {
 // leaves to the float64 reference.
 func BenchmarkConvolutionTopMBatched(b *testing.B) {
 	m := convolutionModel(b)
+	exact := m.TopMIncremental(200, nil).Scored
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := m.TopM(200); len(got) != 200 {
+			b.Fatal("short result")
+		}
+	}
+	b.ReportMetric(float64(exact), "exact/op")
+}
+
+var (
+	rayModelOnce sync.Once
+	rayModel     *core.Model
+	rayModelErr  error
+)
+
+// raycastingModel builds the model of the raycasting cold top-M
+// workload the way the benchmark's cold fixtures do: a paper-topology
+// ensemble (k=11, hidden=30) trained for 200 epochs on the first 200
+// valid simulated Intel i7 measurements of a seed-201 sample, saved and
+// reloaded from bytes, so the sweep screens through the loaded v4 int16
+// tables as a served model does.
+func raycastingModel(b *testing.B) *core.Model {
+	b.Helper()
+	rayModelOnce.Do(func() {
+		bm := bench.MustLookup("raycasting")
+		meas, err := core.NewSimMeasurer(bm, devsim.MustLookup(devsim.IntelI7), bench.Size{}, 0)
+		if err != nil {
+			rayModelErr = err
+			return
+		}
+		space := bm.Space()
+		var samples []core.Sample
+		var invalid []tuning.Config
+		for _, idx := range space.SampleIndices(rand.New(rand.NewSource(201)), 8*200) {
+			if len(samples) == 200 {
+				break
+			}
+			cfg := space.At(idx)
+			secs, err := meas.Measure(context.Background(), cfg)
+			switch {
+			case devsim.IsInvalid(err):
+				invalid = append(invalid, cfg)
+			case err != nil:
+				rayModelErr = err
+				return
+			default:
+				samples = append(samples, core.Sample{Config: cfg, Seconds: secs})
+			}
+		}
+		mc := core.DefaultModelConfig(201)
+		mc.Ensemble.Train.Epochs = 200
+		m, err := core.TrainModel(space, samples, invalid, mc)
+		if err != nil {
+			rayModelErr = err
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			rayModelErr = err
+			return
+		}
+		rayModel, rayModelErr = core.LoadModelBytes(buf.Bytes(), nil)
+	})
+	if rayModelErr != nil {
+		b.Fatal(rayModelErr)
+	}
+	return rayModel
+}
+
+// BenchmarkRaycastingTopMCold is the cold top-200 sweep over the
+// 655,360-configuration raycasting space, the largest sweep the
+// benchmark's cold phase runs. Like BenchmarkConvolutionTopMBatched it
+// reports the sweep's exact forward passes (exact/op).
+func BenchmarkRaycastingTopMCold(b *testing.B) {
+	m := raycastingModel(b)
 	exact := m.TopMIncremental(200, nil).Scored
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -204,7 +204,7 @@ func main() {
 	log.Printf("mltuned: serving on %s as role %s, engine %s (registry %s [%s], %d models)",
 		*addr, srv.Role(), srv.Engine(), regName, reg.Backend().Name(), reg.Len())
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -261,6 +261,24 @@ func main() {
 	}
 	wg.Wait()
 	log.Printf("mltuned: bye")
+}
+
+// The HTTP plane's connection timeouts. Without them a client that
+// opens a connection and never finishes its request, or parks an idle
+// keep-alive connection, holds a connection and its goroutine for as
+// long as it likes.
+const (
+	// readHeaderTimeout bounds the time from the start of a request to
+	// the end of its headers.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes a keep-alive connection that sends no next
+	// request.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server for handler h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitPeers parses a comma-separated, shard-ordered address list;

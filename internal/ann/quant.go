@@ -39,6 +39,26 @@ import (
 // e_in = e_out. The ensemble mean's error is at most the worst member's;
 // a 1e-9 absolute slack absorbs the reference path's own float64
 // rounding versus real arithmetic.
+//
+// That is the engine's ErrorBound: a worst case over every input in the
+// domain. A full-space sweep knows its inputs — input i takes only the
+// levels x_i(v) of one parameter, with Q14 images xq_i(v), or one fixed
+// tail value — so NewSweeper proves a narrower sweep bound from the
+// same error sources, evaluated on the actual weights (w, b float64;
+// wq, bq int16 at scales k and k₂) instead of their rounding limits:
+//
+//	pre-activation  E_j = |b_j − bq_j/2^(k+14)|
+//	                      + Σ_i max_v |w_ji·x_i(v) − wq_ji·xq_i(v)/2^(k+14)|
+//	hidden output   h_j = E_j/4 + 2^-(qLutBits+3) + 2^-15 + σ(qLutLo)
+//	member output   out = |b₂ − bq₂/2^(k₂+14)|
+//	                      + Σ_j (|w₂_j − wq₂_j/2^k₂| + |wq₂_j|/2^k₂ · h_j)
+//	                (|σ| ≤ 1 carries the output weight's own error)
+//	sweep bound     min((1/K)·Σ_members out + 1e-9, ErrorBound)
+//
+// A single-layer linear member's out is its E alone; a member deeper
+// than the paper topology keeps the engine bound. The per-input maximum
+// covers Q14 rounding and saturation alike, since it compares the
+// products the two engines actually form.
 
 const (
 	// qFrac is the fixed-point fraction width for inputs, hidden

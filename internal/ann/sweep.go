@@ -55,10 +55,28 @@ import (
 // aligned subtree for the price of one finish, so the top-M sweep can
 // order its units best-first and stop before walking the rest.
 //
+// The bracket half-width is the engine's ErrorBound for a sweeper from
+// NewIndexSweeper. NewSweeper instead proves one for the sweep's own
+// inputs (sweepBound), the worst case over the space's levels rather
+// than over any input in [QuantInputLo, QuantInputHi]. Per member, with
+// the float64 weights w, b and the int16 tables wq, bq at scales k, k₂
+// (see quant.go's error model):
+//
+//	E_j = |b_j − bq_j/2^(k+14)| + Σ_i max_v |w_ji·x_i(v) − wq_ji·xq_i(v)/2^(k+14)|
+//	h_j = E_j/4 + 2^-(qLutBits+3) + 2^-15 + σ(qLutLo)
+//	out = |b₂ − bq₂/2^(k₂+14)| + Σ_j (|w₂_j − wq₂_j/2^k₂| + |wq₂_j|/2^k₂ · h_j)
+//
+// and the bound is (1/K)·Σ out + 1e-9, capped at ErrorBound. A narrower
+// bracket admits fewer survivors to the exact pass and proves more
+// subtrees above the ceiling; it never excludes the reference value.
+//
 // A sweeper is single-goroutine state over an immutable
-// QuantizedEnsemble; each sweep worker builds its own.
+// QuantizedEnsemble; each sweep worker needs its own (Fork).
 type QuantSweeper struct {
 	q *QuantizedEnsemble
+	// bound is the bracket half-width Bounds, BoundsCeil and Floor
+	// widen by: the engine's ErrorBound, or a sweep bound (NewSweeper).
+	bound float64
 	// contrib[p][v*H+j] is level v of position p's contribution to slot
 	// j's accumulator (at the owning member's layer-0 scale).
 	contrib [][]int64
@@ -121,6 +139,7 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 		digits: make([]int, P),
 		invK:   1 / float64(len(q.members)),
 		cur:    -1,
+		bound:  q.bound,
 	}
 	for p, lv := range levels {
 		if len(lv) == 0 {
@@ -170,6 +189,135 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 		s.actB = make([]int16, q.maxWidth)
 	}
 	return s, nil
+}
+
+// NewSweeper builds the sweeper the top-M sweep screens through: the
+// space's positions take the float64 feature levels levels[p], followed
+// by the fixed float64 tail features, each quantised exactly as
+// QuantizeQ14 (the rounding of tuning.Encoder's Q14 tables). Its bracket
+// is the sweep bound proven from these inputs and ref, the float64
+// ensemble the engine was quantised from and the exact pass scores with
+// (see sweepBound); it is never wider than ErrorBound.
+func (q *QuantizedEnsemble) NewSweeper(ref *Ensemble, levels [][]float64, tail []float64) (*QuantSweeper, error) {
+	qlevels := make([][]int16, len(levels))
+	for p, lv := range levels {
+		qlevels[p] = quantizeQ14All(lv)
+	}
+	qtail := quantizeQ14All(tail)
+	s, err := q.NewIndexSweeper(qlevels, qtail)
+	if err != nil {
+		return nil, err
+	}
+	s.bound = q.sweepBound(ref,
+		append(levels[:len(levels):len(levels)], oneLevelEach(tail)...),
+		append(qlevels, oneLevelEach(qtail)...))
+	return s, nil
+}
+
+// quantizeQ14All returns QuantizeQ14 of every value in xs.
+func quantizeQ14All(xs []float64) []int16 {
+	out := make([]int16, len(xs))
+	for i, x := range xs {
+		out[i] = QuantizeQ14(x)
+	}
+	return out
+}
+
+// oneLevelEach turns each tail feature into a position with one level.
+func oneLevelEach[T any](tail []T) [][]T {
+	out := make([][]T, len(tail))
+	for t := range tail {
+		out[t] = tail[t : t+1]
+	}
+	return out
+}
+
+// sweepBound proves the bracket half-width of a sweep whose input i
+// takes the float64 values levels[i] and, in the int16 engine, the Q14
+// values qlevels[i] (tail features are inputs with one level). It
+// evaluates quant.go's sweep-bound recurrence member by member on the
+// engine's actual int16 tables and ref's float64 weights, so it is sound
+// for whichever tables the engine carries, loaded or quantised. A member
+// deeper than the paper topology falls back to the engine bound, and so
+// does a ref whose shape does not match the engine's (a v4 file's
+// tables and weights are checked against each other only for input
+// width).
+func (q *QuantizedEnsemble) sweepBound(ref *Ensemble, levels [][]float64, qlevels [][]int16) float64 {
+	if ref == nil || len(ref.nets) != len(q.members) {
+		return q.bound
+	}
+	// Per-hidden-unit activation slack: the LUT's half-cell step through
+	// Lipschitz ¼, the Q14 rounding of the stored entry and the clamp tail.
+	actSlack := math.Ldexp(1, -(qLutBits+3)) + math.Ldexp(1, -(qFrac+1)) + sigTail
+	total := 0.0
+	for mi, layers := range q.members {
+		n := ref.nets[mi]
+		paper := len(layers) == 2 && !layers[0].linear && layers[1].linear
+		linear := len(layers) == 1 && layers[0].linear
+		if !(paper || linear) || len(n.weights) != len(layers) {
+			return q.bound
+		}
+		for l, ql := range layers {
+			act := Sigmoid
+			if ql.linear {
+				act = Linear
+			}
+			if n.sizes[l] != ql.in || n.sizes[l+1] != ql.out || n.acts[l] != act {
+				return q.bound
+			}
+		}
+		l0 := layers[0]
+		// preErr is slot j's pre-activation error E_j: bias quantisation
+		// plus, per input, the worst level's product error.
+		w0 := n.weights[0]
+		preErr := func(j int) float64 {
+			row := w0[j*(l0.in+1) : (j+1)*(l0.in+1)]
+			e := math.Abs(row[l0.in] - float64(l0.b[j])*l0.invOut)
+			for i, lv := range levels {
+				w, wq := row[i], float64(l0.w[j*l0.in+i])*l0.invOut
+				worst := 0.0
+				for v, x := range lv {
+					worst = max(worst, math.Abs(w*x-wq*float64(qlevels[i][v])))
+				}
+				e += worst
+			}
+			return e
+		}
+		if l0.linear {
+			total += preErr(0)
+			continue
+		}
+		lOut, w1 := layers[1], n.weights[1]
+		// The output weight's own scale 2^-k₂ is its accumulator scale
+		// times 2^14 (the activations are Q14).
+		wScale := lOut.invOut * qOne
+		out := math.Abs(w1[l0.out] - float64(lOut.b[0])*lOut.invOut)
+		for j := 0; j < l0.out; j++ {
+			wq := float64(lOut.w[j]) * wScale
+			out += math.Abs(w1[j]-wq) + math.Abs(wq)*(preErr(j)/4+actSlack)
+		}
+		total += out
+	}
+	return min(total/float64(len(q.members))+1e-9, q.bound)
+}
+
+// Fork returns a sweeper over the same space and bracket that shares
+// s's immutable tables and owns fresh walk state, so one sweep's
+// workers each walk their own without rebuilding the tables. Fork only
+// reads s: several goroutines may fork one sweeper nothing walks.
+func (s *QuantSweeper) Fork() *QuantSweeper {
+	f := *s
+	f.prefix = make([][]int64, len(s.prefix))
+	for p := range f.prefix {
+		f.prefix[p] = make([]int64, s.H)
+	}
+	f.digits = make([]int, len(s.digits))
+	if s.deep {
+		f.actA = make([]int16, s.q.maxWidth)
+		f.actB = make([]int16, s.q.maxWidth)
+	}
+	f.fresh, f.cur = 0, -1
+	return &f
 }
 
 // Size returns the swept space's configuration count.
@@ -332,7 +480,7 @@ func (s *QuantSweeper) Bounds(start int64, n int, lb, ub []float64) {
 	if start != s.cur {
 		s.seek(start)
 	}
-	bound := s.q.bound
+	bound := s.bound
 	P := len(s.digits)
 	lastAr := int(s.arity[P-1])
 	lastContrib := s.contrib[P-1]
@@ -448,7 +596,7 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 	if start != s.cur {
 		s.seek(start)
 	}
-	bound := s.q.bound
+	bound := s.bound
 	P := len(s.digits)
 	lastAr := int(s.arity[P-1])
 	lastContrib := s.contrib[P-1]
@@ -532,5 +680,5 @@ func (s *QuantSweeper) Floor(start, n int64) (floor float64, ok bool) {
 	if start != s.cur {
 		s.seek(start)
 	}
-	return s.finish(s.rowAbove(p), s.pickTail[p]) - s.q.bound, true
+	return s.finish(s.rowAbove(p), s.pickTail[p]) - s.bound, true
 }

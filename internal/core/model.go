@@ -443,15 +443,18 @@ func (p Predicted) less(q Predicted) bool {
 // TopM sweeps the entire tuning space — the paper's "predict the
 // execution time for all possible configurations" step — and returns the
 // M configurations with the lowest predicted times, best first (ties
-// broken towards the lower index). Each worker screens its partition in
-// blocks through the int16 sweeper, whichever engine the view selected,
-// and feeds a bounded top-heap; only configurations whose conservative
-// lower bound could still beat the heap's worst entry pay the exact
-// reference forward pass. Workers visit their partition best-first:
-// units (aligned subtrees of up to sweepUnitMax configurations) in order
-// of their screen floor, stopping at the first unit whose floor cannot
-// beat the full heap, so the ceiling tightens early and few
-// configurations survive to the exact pass. The heap never holds an
+// broken towards the lower index). The space is screened in blocks
+// through the int16 sweeper, whichever engine the view selected, with a
+// bracket proven for this model's own weights and feature levels; each
+// worker feeds a bounded top-heap, and only configurations whose
+// conservative lower bound could still beat the heap's worst entry pay
+// the exact reference forward pass. The sweep runs best-first: the
+// space's units (aligned subtrees of up to sweepUnitMax configurations)
+// are ranked by their screen floor and dealt round-robin by rank to the
+// workers, and each worker stops at the first of its units whose floor
+// cannot beat its full heap, so the ceiling tightens early, few
+// configurations survive to the exact pass, and the work is spread
+// evenly over the workers. The heap never holds an
 // approximated score — every value that ranks configurations is exact —
 // so the returned set and order are identical under every engine and
 // every worker count: pruning never changes emitted values (a pruned
@@ -496,21 +499,27 @@ func (m *Model) rawCeil(secs float64) float64 {
 	return y + 1e-9*(1+math.Abs(y))
 }
 
-// screenEngine returns the int16 engine the top-M sweep screens through
-// and the bound tail in Q14, or a nil engine when no screen is sound: the
-// quantiser refuses the model, or a tail feature leaves the input domain
-// the int16 error bound is proven on.
-func (m *Model) screenEngine() (*ann.QuantizedEnsemble, []int16) {
+// newScreen returns the int16 sweeper the top-M sweep screens through,
+// bracketed by the bound proven for this model's weights, space and
+// bound tail (ann.QuantizedEnsemble.NewSweeper), or nil when no screen
+// is sound: the quantiser refuses the model, or a tail feature leaves
+// the input domain the int16 error bound is proven on. A layout the
+// sweeper rejects only loses the screen.
+func (m *Model) newScreen() *ann.QuantSweeper {
 	for _, v := range m.tail {
 		if !(v >= ann.QuantInputLo && v <= ann.QuantInputHi) {
-			return nil, nil
+			return nil
 		}
 	}
 	q, err := m.int16Engine()
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	return q, m.schema.QuantizeTailQ14(m.tail, nil)
+	s, err := q.NewSweeper(m.ensemble, m.schema.Levels(), m.tail)
+	if err != nil {
+		return nil
+	}
+	return s
 }
 
 // mustBeBound panics when a portable model is asked to predict without
@@ -530,12 +539,12 @@ func (m *Model) topM(M, workers int) []Predicted {
 }
 
 // sweepUnitMax caps the size of a best-first sweep unit: eight
-// prediction blocks, few enough units per worker that flooring and
-// sorting them is negligible, fine enough that the first units' exact
-// scores already sit near the final ceiling.
+// prediction blocks, few enough units that flooring and sorting them is
+// negligible, fine enough that the first units' exact scores already
+// sit near the final ceiling.
 const sweepUnitMax = 8 * predictBlock
 
-// sweepUnit is one best-first unit of a worker's partition: the
+// sweepUnit is one unit of a worker's share of the space: the
 // configurations [lo, hi) and a lower bound on their raw screen lb.
 type sweepUnit struct {
 	lo, hi int64
@@ -555,23 +564,18 @@ func (m *Model) unitSize() int64 {
 	return n
 }
 
-// floorUnits splits the partition [lo, hi) into units aligned to
-// multiples of n and returns them sorted by (floor, lo). A whole unit's
-// floor comes from the sweeper; a unit cut by a partition edge gets
-// −Inf, so it is visited first and never skipped. It returns nil when
-// the sweeper has no floor (a topology without prune tables).
-func floorUnits(sweep *ann.QuantSweeper, lo, hi, n int64) []sweepUnit {
-	var units []sweepUnit
-	for u := lo - lo%n; u < hi; u += n {
-		unit := sweepUnit{lo: max(u, lo), hi: min(u+n, hi), floor: math.Inf(-1)}
-		if unit.lo == u && unit.hi == u+n {
-			f, ok := sweep.Floor(u, n)
-			if !ok {
-				return nil
-			}
-			unit.floor = f
+// floorUnits floors every unit of n configurations of the sweeper's
+// space (n divides the space: it is a unitSize) and returns them sorted
+// by (floor, lo). It returns nil when the sweeper has no floor (a
+// topology without prune tables).
+func floorUnits(sweep *ann.QuantSweeper, n int64) []sweepUnit {
+	units := make([]sweepUnit, 0, sweep.Size()/n)
+	for u := int64(0); u < sweep.Size(); u += n {
+		f, ok := sweep.Floor(u, n)
+		if !ok {
+			return nil
 		}
-		units = append(units, unit)
+		units = append(units, sweepUnit{lo: u, hi: u + n, floor: f})
 	}
 	sort.Slice(units, func(i, j int) bool {
 		if units[i].floor != units[j].floor {
@@ -586,18 +590,22 @@ func floorUnits(sweep *ann.QuantSweeper, lo, hi, n int64) []sweepUnit {
 // seeds, when non-empty, are *exact* reference-scored predictions
 // pre-offered into every worker's heap (the incremental warm start):
 // with the heap full from block zero, screening engages immediately and
-// against a near-final threshold. Seed indices may also fall inside a
-// worker's partition; the merge deduplicates by index, which is safe
-// because both offers carry the identical exact score.
+// against a near-final threshold. The scan skips seed indices, and the
+// merge deduplicates the seeds every worker's heap holds.
 //
-// Each worker sweeps its partition unit by unit in floor order
-// (floorUnits). Once its heap is full it stops at the first unit whose
-// floor exceeds the ceiling BoundsCeil skips against: every later unit's
-// floor is at least as high, so none of its configurations could enter
-// the heap. A worker shares no state with the others, so the exact-pass
-// count is a function of (model, M, workers, seeds) alone. An unscreened
-// model, or one whose topology has no floor, walks its partition as one
-// unit in index order.
+// The screen floors every unit of the space once (floorUnits) and deals
+// the units out by floor rank: worker w takes ranks w, w+workers, …, so
+// every worker starts on some of the best units, wherever they lie in
+// index order, and the workers' shares of real work stay even. Each
+// worker walks its units in floor order. Once its
+// heap is full it stops at the first unit whose floor exceeds the
+// ceiling BoundsCeil skips against: every later unit's floor is at least
+// as high, so none of its configurations could enter the heap. A worker
+// owns its heap and sweeper and shares no mutable state with the
+// others, so the exact-pass count is a function of (model, M, workers,
+// seeds) alone. An unscreened model, or one whose topology has no
+// floor, splits the space into one contiguous partition per worker and
+// walks it in index order.
 //
 // It returns the merged top M and the number of exact forward passes
 // paid — the cost the incremental path exists to shrink.
@@ -618,7 +626,6 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		workers = int(size)
 	}
 	chunk := (size + int64(workers) - 1) / int64(workers)
-	unit := m.unitSize()
 
 	// The heap only ever ranks exact scores, so the exact pass always
 	// runs the float64 reference. Screening runs through the int16
@@ -626,9 +633,14 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 	// reference prediction, so it cannot change the result set — only
 	// how much of the space pays an exact score. Without a screen every
 	// configuration is scored exactly.
-	screen, qtail := m.screenEngine()
+	screen := m.newScreen()
+	prune := screen != nil && m.canPrune()
+	var units []sweepUnit
+	if prune {
+		units = floorUnits(screen, m.unitSize())
+	}
 
-	// Seed indices are excluded from the partition scan below — each
+	// Seed indices are excluded from the scan below — each
 	// already sits in every heap with its exact score, and offering an
 	// index twice would let duplicates hold heap slots: the heap's
 	// "worst" would then overstate the true M-th best (over-pruning) and
@@ -661,32 +673,30 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lo := int64(w) * chunk
-			hi := min(lo+chunk, size)
 			exact := m.newRefBatchScratch()
 			var sweep *ann.QuantSweeper
-			if screen != nil {
-				// A layout the sweeper rejects only loses pruning.
-				sweep, _ = screen.NewIndexSweeper(m.schema.Q14Levels(), qtail)
+			if prune {
+				sweep = screen.Fork()
 			}
 			idxs := make([]int64, 0, exact.block)
 			preds := make([]float64, 0, exact.block)
 			lb := make([]float64, exact.block)
 			ub := make([]float64, exact.block)
 			survivors := make([]int64, 0, exact.block)
-			prune := sweep != nil && m.canPrune()
-			units := []sweepUnit{{lo: lo, hi: hi, floor: math.Inf(-1)}}
-			if prune {
-				if floored := floorUnits(sweep, lo, hi, unit); floored != nil {
-					units = floored
-				}
+			var mine []sweepUnit
+			if units == nil {
+				lo := int64(w) * chunk
+				mine = []sweepUnit{{lo: lo, hi: min(lo+chunk, size), floor: math.Inf(-1)}}
+			}
+			for r := w; r < len(units); r += workers {
+				mine = append(mine, units[r])
 			}
 			var scored int64
 			best := newTopHeap(M)
 			for _, p := range seeds {
 				best.offer(p)
 			}
-			for _, u := range units {
+			for _, u := range mine {
 				// BoundsCeil's subtree-skip test; later floors are no lower.
 				if prune && best.full() && u.floor > m.rawCeil(best.worst().Seconds)+2*predictBoundMargin {
 					break
@@ -769,9 +779,9 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		merged = append(merged, r...)
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].less(merged[j]) })
-	// Deduplicate by index: a seed can appear both as a seed and as a
-	// partition hit, with identical exact scores, so duplicates are
-	// always adjacent after the sort.
+	// Deduplicate by index: every worker's heap holds the seeds, with
+	// identical exact scores, so duplicates are always adjacent after
+	// the sort.
 	dedup := merged[:0]
 	for i, p := range merged {
 		if i > 0 && p.Index == merged[i-1].Index {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -121,6 +122,36 @@ func TestConvolutionTopMEngineSetIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConvolutionTopMMatchesExactSweep pins the sweep-bound screen on a
+// trained paper-topology model over the full 131K convolution space:
+// TopM(200) at several worker counts, and on the model's v4 round trip
+// (which screens through the loaded int16 tables), equals the top 200
+// of a full exact sweep.
+func TestConvolutionTopMMatchesExactSweep(t *testing.T) {
+	m := paperConvolutionModel(t)
+	const M = 200
+	want := bruteTopM(m, M)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModelBytes(buf.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		for name, view := range map[string]*Model{"trained": m, "loaded": loaded} {
+			got := view.topMIncremental(M, workers, nil)
+			if !samePredicted(got.Top, want) {
+				t.Fatalf("%s workers=%d: TopM(%d) differs from the full exact sweep", name, workers, M)
+			}
+			if got.Scored*10 >= m.Space().Size() {
+				t.Errorf("%s workers=%d: scored %d of %d configurations exactly", name, workers, got.Scored, m.Space().Size())
+			}
+		}
 	}
 }
 

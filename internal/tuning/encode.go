@@ -157,6 +157,18 @@ func (e *Encoder) Q14Levels() [][]int16 {
 	return out
 }
 
+// Levels returns, per parameter in encode order, the float64 feature
+// value of each parameter level — the tables behind EncodeIndex, in the
+// same layout as Q14Levels. The returned slices are fresh copies;
+// callers may keep them.
+func (e *Encoder) Levels() [][]float64 {
+	out := make([][]float64, len(e.feat))
+	for i, lv := range e.feat {
+		out[i] = append([]float64(nil), lv...)
+	}
+	return out
+}
+
 func allPositivePow2(values []int) bool {
 	for _, v := range values {
 		if v <= 0 || v&(v-1) != 0 {

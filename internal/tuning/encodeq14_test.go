@@ -32,6 +32,20 @@ func TestEncodeIndexQ14MatchesFloat(t *testing.T) {
 			}
 		}
 	}
+	// The level tables are the per-digit images of the same encoding:
+	// the float64 levels EncodeIndex reads and their Q14 roundings.
+	levels, qlevels := enc.Levels(), enc.Q14Levels()
+	for idx := int64(0); idx < space.Size(); idx++ {
+		fdst = enc.EncodeIndex(idx, fdst[:0])
+		rem := idx
+		for i := len(levels) - 1; i >= 0; i-- {
+			v := rem % int64(len(levels[i]))
+			rem /= int64(len(levels[i]))
+			if fdst[i] != levels[i][v] || qlevels[i][v] != ann.QuantizeQ14(levels[i][v]) {
+				t.Fatalf("idx %d feature %d: levels %g/%d, EncodeIndex %g", idx, i, levels[i][v], qlevels[i][v], fdst[i])
+			}
+		}
+	}
 
 	defer func() {
 		if recover() == nil {

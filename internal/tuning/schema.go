@@ -145,6 +145,10 @@ func (s *FeatureSchema) EncodeIndexQ14(idx int64, tail []int16, dst []int16) []i
 // (see Encoder.Q14Levels).
 func (s *FeatureSchema) Q14Levels() [][]int16 { return s.enc.Q14Levels() }
 
+// Levels returns the parameter block's per-level float64 feature tables
+// (see Encoder.Levels).
+func (s *FeatureSchema) Levels() [][]float64 { return s.enc.Levels() }
+
 // --- device block ------------------------------------------------------
 
 // deviceField is one descriptor-derived feature: a name and a pure,
