@@ -154,13 +154,8 @@ type qLayer struct {
 // immutable after QuantizeEnsemble and safe for concurrent use with
 // distinct scratches.
 type QuantizedEnsemble struct {
-	members [][]qLayer
-	lut     []int16
-	// hold pins the backing store alive when the weight slices alias a
-	// memory-mapped v4 arena (see quantarena.go); nil for heap-built
-	// engines. The GC does not root a mapping through interior pointers,
-	// so every aliasing structure must carry this reference.
-	hold     any
+	members  [][]qLayer
+	lut      []int16
 	bound    float64
 	inDim    int
 	maxWidth int

@@ -87,12 +87,8 @@ type q8Layer struct {
 // is immutable after Quantize8Ensemble and safe for concurrent use with
 // distinct scratches.
 type Quantized8Ensemble struct {
-	members [][]q8Layer
-	lut     []int16
-	// hold pins the backing store alive when the weight slices alias a
-	// memory-mapped v4 arena (see quantarena.go); nil for heap-built
-	// engines.
-	hold     any
+	members  [][]q8Layer
+	lut      []int16
 	bound    float64
 	inDim    int
 	maxWidth int

@@ -236,12 +236,9 @@ func oneLevelEach[T any](tail []T) [][]T {
 // takes the float64 values levels[i] and, in the int16 engine, the Q14
 // values qlevels[i] (tail features are inputs with one level). It
 // evaluates quant.go's sweep-bound recurrence member by member on the
-// engine's actual int16 tables and ref's float64 weights, so it is sound
-// for whichever tables the engine carries, loaded or quantised. A member
+// engine's actual int16 tables and ref's float64 weights. A member
 // deeper than the paper topology falls back to the engine bound, and so
-// does a ref whose shape does not match the engine's (a v4 file's
-// tables and weights are checked against each other only for input
-// width).
+// does a ref whose shape does not match the engine's.
 func (q *QuantizedEnsemble) sweepBound(ref *Ensemble, levels [][]float64, qlevels [][]int16) float64 {
 	if ref == nil || len(ref.nets) != len(q.members) {
 		return q.bound

@@ -78,13 +78,8 @@ type Model struct {
 	// reference regardless. The engine drives the batch paths; top-M
 	// screening always runs through the int16 sweeper (see topMSweep).
 	engine ann.Engine
-	// q16/q8 are prebuilt quantised engines, populated by the v4 arena
-	// loader so WithEngine installs them without a quantisation pass;
-	// nil means quantise on demand.
-	q16 *ann.QuantizedEnsemble
-	q8  *ann.Quantized8Ensemble
 	// arena pins the memory mapping backing a zero-copy loaded model
-	// (weights and engine tables alias it); nil for heap-owned models.
+	// (its float64 weights alias it); nil for heap-owned models.
 	arena *mmapx.Data
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
@@ -114,16 +109,7 @@ func (m *Model) eng() ann.Engine {
 // the int16 sweeper and ranks only exact reference scores, so the
 // returned set, order and exact-pass count are engine-independent.
 func (m *Model) WithEngine(name string) (*Model, error) {
-	var eng ann.Engine
-	var err error
-	switch name {
-	case ann.EngineInt16:
-		eng, err = m.int16Engine()
-	case ann.EngineInt8:
-		eng, err = m.int8Engine()
-	default:
-		eng, err = ann.NewEngine(name, m.ensemble)
-	}
+	eng, err := ann.NewEngine(name, m.ensemble)
 	if err != nil {
 		return nil, err
 	}
@@ -132,25 +118,13 @@ func (m *Model) WithEngine(name string) (*Model, error) {
 	return &view, nil
 }
 
-// int16Engine returns the prebuilt int16 engine when the model was
-// loaded from a v4 arena or already runs on it, quantising on demand
-// otherwise.
+// int16Engine returns the view's engine when it already is the int16
+// engine, and otherwise quantises the float64 weights.
 func (m *Model) int16Engine() (*ann.QuantizedEnsemble, error) {
-	if m.q16 != nil {
-		return m.q16, nil
-	}
 	if q, ok := m.engine.(*ann.QuantizedEnsemble); ok {
 		return q, nil
 	}
 	return ann.QuantizeEnsemble(m.ensemble)
-}
-
-// int8Engine is int16Engine for the int8 engine.
-func (m *Model) int8Engine() (*ann.Quantized8Ensemble, error) {
-	if m.q8 != nil {
-		return m.q8, nil
-	}
-	return ann.Quantize8Ensemble(m.ensemble)
 }
 
 // EngineName returns the selected engine's name (ann.EngineFloat64 when

@@ -34,10 +34,10 @@ import (
 //	version 4 — same header fields as v3, space-padded to a 64-byte
 //	  boundary, and the body is the zero-copy weight arena of
 //	  internal/core/persistbin4.go: 64-byte-aligned sections carrying
-//	  the float64 weights AND the quantised engine tables, laid out so
-//	  LoadModelFile serves straight out of a read-only memory mapping —
-//	  install cost is O(1) in model size, and selecting the int16/int8
-//	  engine skips the quantisation pass.
+//	  the float64 weights, laid out so LoadModelFile serves straight
+//	  out of a read-only memory mapping. Quantised engines are built
+//	  from those weights after loading; the engine tables older v4
+//	  files carry are skipped.
 //
 // Save writes version 4 for every model, whatever version it was loaded
 // from; the re-saved artifact predicts bit-identically. Every v1–v4
@@ -146,12 +146,7 @@ func (m *Model) Save(w io.Writer) error {
 	if _, err := w.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("core: writing model header: %w", err)
 	}
-	// Engine tables ride along when the ensemble quantises; refusals
-	// (diverged magnitudes, uncovered topologies) degrade to a v4 file
-	// without tables, which loads fine and quantises on demand.
-	q16, _ := m.int16Engine()
-	q8, _ := m.int8Engine()
-	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State(), q16, q8)
+	return writeBinaryPayloadV4(w, m.scaler, m.ensemble.State())
 }
 
 // WeightFormat returns the persistence version the model's weights were
@@ -238,12 +233,11 @@ func (m *Model) checkEnsembleWidth() error {
 
 // LoadModelBytes loads a model from an in-memory file image, dispatching
 // on the header version (see modelFormat) — the one load path every
-// entry point shares. For a v4 image the returned model's weights and
-// engine tables alias data in place (no decode pass, O(1) in model
-// size); arena, when non-nil, is the memory mapping backing data and is
-// pinned by the model for its lifetime. Older versions decode by
-// copying, and arena may then be closed by the caller once
-// LoadModelBytes returns.
+// entry point shares. For a v4 image the returned model's weights
+// alias data in place (no decode pass); arena, when non-nil, is the
+// memory mapping backing data and is pinned by the model for its
+// lifetime. Older versions decode by copying, and arena may then be
+// closed by the caller once LoadModelBytes returns.
 func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -284,8 +278,6 @@ func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 		scaler:         d.scaler,
 		logT:           hdr.LogTransform,
 		engine:         ann.Float64Engine{E: d.ensemble},
-		q16:            d.q16,
-		q8:             d.q8,
 		persistVersion: hdr.Version,
 	}
 	if hdr.Version == modelVersionV4 {

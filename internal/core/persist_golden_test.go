@@ -264,21 +264,22 @@ func TestWeightFormatFreshModel(t *testing.T) {
 	}
 }
 
-// v3SectionBoundaries returns the file offsets in a v3 artifact where
-// its body starts, its magic ends, and each section's header and padded
-// payload end.
-func v3SectionBoundaries(tb testing.TB, file []byte) []int {
+// sectionBoundaries returns the file offsets in a v3 (align 8) or v4
+// (align 64) artifact where its body starts, its magic ends, and each
+// section's header and padded payload end: section k spans
+// [cuts[1+2k], cuts[3+2k]).
+func sectionBoundaries(tb testing.TB, file []byte, align int) []int {
 	tb.Helper()
 	start := bytes.IndexByte(file, '\n') + 1
-	cuts := []int{start, start + binAlign3}
-	for off := start + binAlign3; off < len(file); {
-		if off+binAlign3 > len(file) {
-			tb.Fatalf("v3 artifact ends inside a section header at %d", off)
+	cuts := []int{start, start + align}
+	for off := start + align; off < len(file); {
+		if off+align > len(file) {
+			tb.Fatalf("artifact ends inside a section header at %d", off)
 		}
 		length := int(binary.LittleEndian.Uint32(file[off+4:]))
-		off += binAlign3
+		off += align
 		cuts = append(cuts, off)
-		off += length + (binAlign3-length%binAlign3)%binAlign3
+		off += length + (align-length%align)%align
 		cuts = append(cuts, off)
 	}
 	return cuts
@@ -309,6 +310,7 @@ func TestSectionWalkerRejectsTruncation(t *testing.T) {
 	}{
 		{"golden_v3.mlt", binMagic, binAlign3},
 		{"golden_v4.mlt", binMagic4, binAlign4},
+		{"golden_v4_tables.mlt", binMagic4, binAlign4},
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", c.file))
 		if err != nil {
@@ -338,7 +340,7 @@ func TestSectionWalkerRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts := v3SectionBoundaries(t, raw)
+	cuts := sectionBoundaries(t, raw, binAlign3)
 	for _, cut := range cuts[:len(cuts)-1] {
 		if _, err := LoadModelBytes(raw[:cut], nil); err == nil {
 			t.Fatalf("golden_v3.mlt cut at section boundary %d of %d loaded", cut, len(raw))
@@ -381,7 +383,7 @@ func FuzzModelV3Codec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	for _, cut := range v3SectionBoundaries(f, golden) {
+	for _, cut := range sectionBoundaries(f, golden, binAlign3) {
 		f.Add(golden[:cut])
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -76,9 +77,6 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 	if runtime.GOOS == "linux" && !mapped.arena.Mapped() {
 		t.Fatal("v4 arena is not memory-mapped on linux")
 	}
-	if mapped.q16 == nil || mapped.q8 == nil {
-		t.Fatalf("v4 load did not prebuild the engine tables (q16=%v q8=%v)", mapped.q16 != nil, mapped.q8 != nil)
-	}
 	checkGoldenPredictions(t, mapped, preds)
 	for _, name := range ann.EngineNames() {
 		if _, err := mapped.WithEngine(name); err != nil {
@@ -99,60 +97,119 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestV4EngineTablesMatchQuantisation pins the core claim of the arena:
-// the engines decoded from a v4 file are bit-identical — predictions
-// and bounds — to quantising the loaded ensemble from scratch.
-func TestV4EngineTablesMatchQuantisation(t *testing.T) {
-	model := goldenPortableModel(t)
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModelBytes(buf.Bytes(), nil)
+// TestGoldenV4TablesCompat pins the v4 files older writers emitted,
+// which carry quantised engine tables (QLUT, Q16T, QNT8) after the
+// weights. The artifact is frozen (no -update path): it must keep
+// loading to the v4 golden predictions, and re-saving it must give
+// exactly its bytes minus the table sections the loader now skips.
+func TestGoldenV4TablesCompat(t *testing.T) {
+	path := filepath.Join("testdata", "golden_v4_tables.mlt")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.q16 == nil || loaded.q8 == nil {
-		t.Fatal("v4 image did not carry engine tables")
+	cuts := sectionBoundaries(t, raw, binAlign4)
+	want := append([]byte(nil), raw[:cuts[1]]...)
+	var tables []string
+	for k := 1; k+2 < len(cuts); k += 2 {
+		switch tag := string(raw[cuts[k] : cuts[k]+4]); tag {
+		case "QLUT", "Q16T", "QNT8":
+			tables = append(tables, tag)
+		default:
+			want = append(want, raw[cuts[k]:cuts[k+2]]...)
+		}
 	}
-	fresh16, err := ann.QuantizeEnsemble(loaded.ensemble)
+	if len(tables) != 3 {
+		t.Fatalf("frozen artifact carries table sections %q, want QLUT, Q16T and QNT8", tables)
+	}
+	preds := readGoldenPredictions(t, filepath.Join("testdata", "golden_v4_predictions.json"))
+	copied, err := LoadModel(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh8, err := ann.Quantize8Ensemble(loaded.ensemble)
+	mapped, err := LoadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.q16.ErrorBound() != fresh16.ErrorBound() || loaded.q8.ErrorBound() != fresh8.ErrorBound() {
-		t.Fatal("decoded engine bounds differ from fresh quantisation")
+	for _, m := range []*Model{copied, mapped} {
+		if m.WeightFormat() != 4 {
+			t.Fatalf("WeightFormat() = %d, want 4", m.WeightFormat())
+		}
+		checkGoldenPredictions(t, m, preds)
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("re-saved model is %d bytes, want the artifact's %d minus its table sections (%d)",
+				out.Len(), len(raw), len(want))
+		}
+	}
+}
+
+// checkInt16FromWeights fails unless m's int16 view has the bound of,
+// and predicts bit for bit what, fresh predicts: the int16 engine
+// quantised from m's own float64 weights. No content of a model file
+// other than its weights may steer the int16 engine or the top-M
+// screen built on it.
+func checkInt16FromWeights(t testing.TB, m *Model, fresh *ann.QuantizedEnsemble) {
+	t.Helper()
+	view, err := m.WithEngine(ann.EngineInt16)
+	if err != nil {
+		t.Fatalf("the quantiser accepts the weights, WithEngine(int16) refuses them: %v", err)
+	}
+	if got, want := view.EngineErrorBound(), fresh.ErrorBound(); got != want {
+		t.Fatalf("int16 view bound %g, quantising the weights gives %g", got, want)
 	}
 	rng := rand.New(rand.NewSource(3))
-	dim := loaded.q16.InputDim()
-	const count = 32
-	xs := make([]float64, dim*count)
+	const count = 8
+	xs := make([]float64, fresh.InputDim()*count)
 	for i := range xs {
 		xs[i] = ann.QuantInputLo + rng.Float64()*(ann.QuantInputHi-ann.QuantInputLo)
 	}
-	for _, pair := range []struct {
-		name       string
-		dec, fresh ann.Engine
-	}{{"int16", loaded.q16, fresh16}, {"int8", loaded.q8, fresh8}} {
-		a := make([]float64, count)
-		b := make([]float64, count)
-		pair.dec.PredictBatch(xs, count, pair.dec.NewScratch(count), a)
-		pair.fresh.PredictBatch(xs, count, pair.fresh.NewScratch(count), b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s sample %d: decoded %g != fresh %g", pair.name, i, a[i], b[i])
-			}
+	got := make([]float64, count)
+	want := make([]float64, count)
+	eng := view.eng()
+	eng.PredictBatch(xs, count, eng.NewScratch(count), got)
+	fresh.PredictBatch(xs, count, fresh.NewScratch(count), want)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d: int16 view predicts %v, quantising the weights %v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestForeignEngineTables pins that a file's engine tables cannot
+// steer the int16 engine or the top-M screen. foreign_tables_v4.mlt is
+// trainedTestModel's v4 file with its Q16T and QNT8 payloads replaced
+// by those of a same-shape model trained on the opposite objective
+// (see CHANGES.md); it is frozen, with no -update path. A loader that
+// trusted those tables ranked 20 of 20 top entries wrong on both views.
+func TestForeignEngineTables(t *testing.T) {
+	m, err := LoadModelFile(filepath.Join("testdata", "foreign_tables_v4.mlt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const M = 20
+	want := bruteTopM(m, M)
+	for _, name := range []string{ann.EngineFloat64, ann.EngineInt16} {
+		if got := engineView(t, m, name).TopM(M); !samePredicted(got, want) {
+			t.Errorf("%s view: TopM(%d) differs from the exhaustive float64 sweep", name, M)
+		}
+	}
+	fresh, err := ann.QuantizeEnsemble(m.Ensemble())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInt16FromWeights(t, m, fresh)
 }
 
 // FuzzModelV4Codec feeds mutated v4 images to LoadModelBytes:
 // truncation and corruption must produce errors, never panics, and any
 // input that does load must predict (bound to a device when portable)
-// and re-save deterministically.
+// and re-save deterministically. When the int16 quantiser accepts its
+// weights, its int16 view must be exactly the engine quantised from
+// them (checkInt16FromWeights).
 func FuzzModelV4Codec(f *testing.F) {
 	space := tuning.NewSpace("fz4", tuning.Pow2Param("wg", 1, 8), tuning.BoolParam("v"))
 	var samples []Sample
@@ -186,6 +243,14 @@ func FuzzModelV4Codec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Replace(golden, []byte(`"device":`), []byte(`"input": `), 1))
+	// Files with engine tables: honest ones, and foreign ones.
+	for _, name := range []string{"golden_v4_tables.mlt", "foreign_tables_v4.mlt"} {
+		withTables, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(withTables)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModelBytes(data, nil)
@@ -201,6 +266,9 @@ func FuzzModelV4Codec(f *testing.F) {
 		}
 		if served.Space().Size() > 0 {
 			served.Predict(served.Space().At(0), served.NewScratch())
+		}
+		if fresh, err := ann.QuantizeEnsemble(m.Ensemble()); err == nil {
+			checkInt16FromWeights(t, m, fresh)
 		}
 		var once, twice bytes.Buffer
 		if err := m.Save(&once); err != nil {

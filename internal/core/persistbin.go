@@ -231,10 +231,9 @@ func parseShapeSection(shape []byte, members int) ([]ann.NetworkState, int, erro
 }
 
 // sections holds the located section payloads of a v3 or v4 body
-// (sub-slices of the body, not copies). The engine-table sections are
-// v4-only; a v3 decode ignores them.
+// (sub-slices of the body, not copies).
 type sections struct {
-	scal, shape, weights, lut, q16, q8 []byte
+	scal, shape, weights []byte
 }
 
 // parseSections walks a v3 (align 8) or v4 (align 64) body. Both lay
@@ -272,12 +271,6 @@ func parseSections(body []byte, magic [8]byte, align int) (*sections, error) {
 			s.shape = payload
 		case binSecWeights:
 			s.weights = payload
-		case binSecLut:
-			s.lut = payload
-		case binSecQ16:
-			s.q16 = payload
-		case binSecQ8:
-			s.q8 = payload
 		default:
 			// Unknown section: skip. Additive sections from a newer minor
 			// revision must not break this reader.
@@ -290,23 +283,18 @@ func parseSections(body []byte, magic [8]byte, align int) (*sections, error) {
 	return s, nil
 }
 
-// decodedBody is a decoded model body: the scaler and ensemble, plus
-// the prebuilt quantised engines a v4 arena carries.
+// decodedBody is a decoded model body: the scaler and the ensemble.
 type decodedBody struct {
 	scaler   ann.TargetScaler
 	ensemble *ann.Ensemble
-	q16      *ann.QuantizedEnsemble
-	q8       *ann.Quantized8Ensemble
 }
 
 // decodeBinaryPayload decodes a v3 or v4 body. A v4 body is decoded in
-// place: the weights and engine tables alias body, and arena, when
-// non-nil, is the memory mapping backing it, held by every structure
-// that aliases it. With a nil arena (heap-owned body) aliasing is still
-// safe — the slices keep the buffer alive. A v3 body is always
-// copy-decoded and its engine-table sections are ignored, so nothing
-// it returns aliases body and the caller may release a mapping behind
-// it.
+// place: the weights alias body, and arena, when non-nil, is the memory
+// mapping backing it, held by the ensemble that aliases it. With a nil
+// arena (heap-owned body) aliasing is still safe — the slices keep the
+// buffer alive. A v3 body is always copy-decoded, so nothing it returns
+// aliases body and the caller may release a mapping behind it.
 func decodeBinaryPayload(body []byte, version, members int, arena *mmapx.Data) (*decodedBody, error) {
 	magic, align := binMagic, binAlign3
 	if version == modelVersionV4 {
@@ -355,12 +343,6 @@ func decodeBinaryPayload(body []byte, version, members int, arena *mmapx.Data) (
 	d.ensemble, err = ann.EnsembleFromStateShared(ann.EnsembleState{Nets: nets}, hold)
 	if err != nil {
 		return nil, err
-	}
-	if version == modelVersionV4 {
-		d.q16, d.q8, err = decodeEngineTables(secs, nets[0].Sizes[0], arena)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return d, nil
 }

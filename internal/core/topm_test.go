@@ -353,11 +353,12 @@ func unitTestModel(t testing.TB) *Model {
 }
 
 // TestTopMBestFirstUnits pins the best-first sweep against the scalar
-// specification where it has room to reorder: ragged partitions (units
-// cut by worker edges), M from one to several units' worth, cold and
-// seeded sweeps — the seeds include the worst-predicted configurations,
-// which sit in units the early stop skips — and a Scored that repeats
-// exactly and shows the screen and the early stop engaged.
+// specification where it has room to reorder: uneven deals (worker
+// counts that do not divide the unit count), M from one to several
+// units' worth, cold and seeded sweeps — the seeds include the
+// worst-predicted configurations, which sit in units the early stop
+// skips — and a Scored that repeats exactly and shows the screen and
+// the early stop engaged.
 func TestTopMBestFirstUnits(t *testing.T) {
 	m := unitTestModel(t)
 	size := m.Space().Size()
@@ -406,7 +407,7 @@ func withEnsemble(t *testing.T, m *Model, edit func(st *ann.EnsembleState)) *Mod
 		t.Fatal(err)
 	}
 	out := *m
-	out.ensemble, out.engine, out.q16, out.q8 = e, ann.Float64Engine{E: e}, nil, nil
+	out.ensemble, out.engine = e, ann.Float64Engine{E: e}
 	return &out
 }
 

@@ -1,6 +1,6 @@
 // Package mmapx memory-maps read-only files and reinterprets aligned
-// byte ranges as typed slices — the zero-copy substrate of the v4 model
-// arena. On platforms without mmap (or when a file cannot be mapped)
+// byte ranges as float64 slices — the zero-copy substrate of the v4
+// model arena. On platforms without mmap (or when a file cannot be mapped)
 // Open degrades to a plain read, so callers never need a second code
 // path: they always hold a *Data and slice its Bytes.
 //
@@ -10,10 +10,10 @@
 // calls Close explicitly. Any struct that keeps a typed slice aliasing
 // the mapping MUST also keep a reference to the Data (an interior
 // pointer into mapped memory does not root the Data object for the GC),
-// which is why the model loader threads a hold reference through every
-// engine it builds over an arena. Live reports the number of currently
-// mapped regions; the mmap-lifecycle tests assert it returns to zero
-// once the last holder is collected.
+// which is why the model loader hands the Data to the one structure
+// that aliases an arena: the ensemble over its float64 weights. Live
+// reports the number of currently mapped regions; the mmap-lifecycle
+// tests assert it returns to zero once the last holder is collected.
 //
 // Mapped files must only ever be replaced by rename (the localfs
 // backend's atomic-swap discipline): the mapping pins the old inode, so
@@ -122,46 +122,4 @@ func Float64s(b []byte) (s []float64, ok bool) {
 		return nil, true
 	}
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
-}
-
-// Int64s reinterprets b as little-endian int64s in place (see Float64s).
-func Int64s(b []byte) (s []int64, ok bool) {
-	if !littleEndian || len(b)%8 != 0 || !aligned(b, 8) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8), true
-}
-
-// Int32s reinterprets b as little-endian int32s in place (see Float64s).
-func Int32s(b []byte) (s []int32, ok bool) {
-	if !littleEndian || len(b)%4 != 0 || !aligned(b, 4) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4), true
-}
-
-// Int16s reinterprets b as little-endian int16s in place (see Float64s).
-func Int16s(b []byte) (s []int16, ok bool) {
-	if !littleEndian || len(b)%2 != 0 || !aligned(b, 2) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*int16)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/2), true
-}
-
-// Int8s reinterprets b as int8s in place; byte order and alignment are
-// trivial, so it always succeeds.
-func Int8s(b []byte) []int8 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
 }

@@ -35,9 +35,9 @@ type serverMetrics struct {
 	modelLoads *telemetry.Counter
 	cache      *cacheMetrics
 	// swapDuration observes model swaps end to end: registry persist (or
-	// replication install) through the slot swap — the install-to-
-	// servable latency the v4 zero-copy arena exists to keep flat as
-	// models grow.
+	// replication install) through the slot swap. A quantised engine is
+	// built from the new model's weights on the slot's first request,
+	// after the swap, so it does not show here.
 	swapDuration *telemetry.Histogram
 
 	// Sample store.

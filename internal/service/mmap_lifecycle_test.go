@@ -47,8 +47,8 @@ func TestMmapSwapLifecycle(t *testing.T) {
 	if err := reg.Put(key, models[0]); err != nil {
 		t.Fatal(err)
 	}
-	// The int8 engine exercises the most state per model: quantised
-	// tables decoded straight out of the arena, plus the int16 screen.
+	// The int8 engine exercises the most state per model: int8 tables
+	// quantised from the arena-backed weights, plus the int16 screen.
 	srv := newTestServer(t, reg, 1, 4, WithEngine(ann.EngineInt8))
 
 	stop := make(chan struct{})
