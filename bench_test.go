@@ -493,7 +493,7 @@ func raycastingModel(b *testing.B) *core.Model {
 			rayModelErr = err
 			return
 		}
-		rayModel, rayModelErr = core.LoadModelBytes(buf.Bytes(), nil)
+		rayModel, rayModelErr = core.LoadModelBytes(buf.Bytes())
 	})
 	if rayModelErr != nil {
 		b.Fatal(rayModelErr)

@@ -14,9 +14,6 @@ import (
 // uses k = 11.
 type Ensemble struct {
 	nets []*Network
-	// hold pins the weight slices' backing store when the members alias
-	// shared memory (a mmap'd v4 arena); nil for heap-owned ensembles.
-	hold any
 }
 
 // EnsembleConfig controls ensemble construction.

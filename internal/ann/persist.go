@@ -28,9 +28,9 @@ func (n *Network) State() NetworkState {
 }
 
 // networkFromState reconstructs a network from exported state,
-// validating the topology against the weight shapes. With share set the
-// network aliases st's weight slices instead of copying them.
-func networkFromState(st NetworkState, share bool) (*Network, error) {
+// validating the topology against the weight shapes. The network takes
+// st's weight slices as its own (see EnsembleFromState).
+func networkFromState(st NetworkState) (*Network, error) {
 	if len(st.Sizes) < 2 {
 		return nil, fmt.Errorf("ann: state has %d layer sizes, need at least 2", len(st.Sizes))
 	}
@@ -58,11 +58,7 @@ func networkFromState(st NetworkState, share bool) (*Network, error) {
 		if len(w) != want {
 			return nil, fmt.Errorf("ann: state weight layer %d has %d weights, topology needs %d", l, len(w), want)
 		}
-		if share {
-			n.weights[l] = w
-		} else {
-			n.weights[l] = append([]float64(nil), w...)
-		}
+		n.weights[l] = w
 	}
 	return n, nil
 }
@@ -81,28 +77,18 @@ func (e *Ensemble) State() EnsembleState {
 	return st
 }
 
-// EnsembleFromState reconstructs an ensemble from exported state.
+// EnsembleFromState reconstructs an ensemble from exported state. The
+// ensemble takes ownership of st's weight slices instead of copying
+// them: the caller must not modify them afterwards. State returns deep
+// copies, so a State → EnsembleFromState round trip shares nothing, and
+// the model loaders pass weights they have just decoded.
 func EnsembleFromState(st EnsembleState) (*Ensemble, error) {
-	return ensembleFromState(st, false, nil)
-}
-
-// EnsembleFromStateShared reconstructs an ensemble whose member
-// networks alias st's weight slices in place, without the defensive
-// copies; hold pins the slices' backing store — e.g. a mmapx mapping —
-// for the ensemble's lifetime. The v4 arena loader uses it to serve
-// straight out of a read-only memory mapping: the result must never be
-// mutated or trained (a write to mapped weights faults).
-func EnsembleFromStateShared(st EnsembleState, hold any) (*Ensemble, error) {
-	return ensembleFromState(st, true, hold)
-}
-
-func ensembleFromState(st EnsembleState, share bool, hold any) (*Ensemble, error) {
 	if len(st.Nets) == 0 {
 		return nil, fmt.Errorf("ann: ensemble state has no member networks")
 	}
-	e := &Ensemble{nets: make([]*Network, len(st.Nets)), hold: hold}
+	e := &Ensemble{nets: make([]*Network, len(st.Nets))}
 	for i, ns := range st.Nets {
-		n, err := networkFromState(ns, share)
+		n, err := networkFromState(ns)
 		if err != nil {
 			return nil, fmt.Errorf("ann: member %d: %w", i, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/ann"
-	"repro/internal/mmapx"
 	"repro/internal/tuning"
 )
 
@@ -78,9 +77,6 @@ type Model struct {
 	// reference regardless. The engine drives the batch paths; top-M
 	// screening always runs through the int16 sweeper (see topMSweep).
 	engine ann.Engine
-	// arena pins the memory mapping backing a zero-copy loaded model
-	// (its float64 weights alias it); nil for heap-owned models.
-	arena *mmapx.Data
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
 	persistVersion int

@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"repro/internal/ann"
-	"repro/internal/mmapx"
 	"repro/internal/tuning"
 )
 
@@ -32,12 +31,12 @@ import (
 //	  replica installs parse a flat buffer instead of paying gob's
 //	  reflective decode.
 //	version 4 — same header fields as v3, space-padded to a 64-byte
-//	  boundary, and the body is the zero-copy weight arena of
+//	  boundary, and the body is the section arena of
 //	  internal/core/persistbin4.go: 64-byte-aligned sections carrying
-//	  the float64 weights, laid out so LoadModelFile serves straight
-//	  out of a read-only memory mapping. Quantised engines are built
-//	  from those weights after loading; the engine tables older v4
-//	  files carry are skipped.
+//	  the float64 weights. Loading copy-decodes them onto the heap like
+//	  v3; the alignment is a format invariant only. Quantised engines
+//	  are built from those weights after loading; the engine tables
+//	  older v4 files carry are skipped.
 //
 // Save writes version 4 for every model, whatever version it was loaded
 // from; the re-saved artifact predicts bit-identically. Every v1–v4
@@ -138,8 +137,8 @@ func (m *Model) Save(w io.Writer) error {
 		return fmt.Errorf("core: encoding model header: %w", err)
 	}
 	// Space-pad the header so the body starts at a 64-byte file offset:
-	// every v4 section payload then lands cache-line aligned in a memory
-	// mapping (JSON ignores trailing whitespace).
+	// every v4 section payload then lands 64-byte aligned in the file
+	// (JSON ignores trailing whitespace).
 	for (len(line)+1)%binAlign4 != 0 {
 		line = append(line, ' ')
 	}
@@ -215,7 +214,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	return LoadModelBytes(data, nil)
+	return LoadModelBytes(data)
 }
 
 // checkEnsembleWidth verifies the ensemble input width against the
@@ -233,12 +232,14 @@ func (m *Model) checkEnsembleWidth() error {
 
 // LoadModelBytes loads a model from an in-memory file image, dispatching
 // on the header version (see modelFormat) — the one load path every
-// entry point shares. For a v4 image the returned model's weights
-// alias data in place (no decode pass); arena, when non-nil, is the
-// memory mapping backing data and is pinned by the model for its
-// lifetime. Older versions decode by copying, and arena may then be
-// closed by the caller once LoadModelBytes returns.
-func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
+// entry point shares. Every version decodes by copying: the returned
+// model owns its weights and keeps no reference to data, so the caller
+// may reuse or overwrite data once LoadModelBytes returns.
+//
+// The variadic parameter is unused. It exists only so that perfbench's
+// LoadModelBytes(b, nil) calls keep compiling, and goes once they drop
+// the nil.
+func LoadModelBytes(data []byte, _ ...any) (*Model, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("core: model image has no header line")
@@ -264,7 +265,7 @@ func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 	body := data[nl+1:]
 	var d *decodedBody
 	if hdr.Version >= modelVersionV3 {
-		d, err = decodeBinaryPayload(body, hdr.Version, hdr.Members, arena)
+		d, err = decodeBinaryPayload(body, hdr.Version, hdr.Members)
 	} else {
 		d, err = decodeGobPayload(body)
 	}
@@ -279,9 +280,6 @@ func LoadModelBytes(data []byte, arena *mmapx.Data) (*Model, error) {
 		logT:           hdr.LogTransform,
 		engine:         ann.Float64Engine{E: d.ensemble},
 		persistVersion: hdr.Version,
-	}
-	if hdr.Version == modelVersionV4 {
-		m.arena = arena
 	}
 	if err := m.checkEnsembleWidth(); err != nil {
 		return nil, err
@@ -302,30 +300,16 @@ func decodeGobPayload(body []byte) (*decodedBody, error) {
 	return &decodedBody{scaler: payload.Scaler, ensemble: ensemble}, nil
 }
 
-// LoadModelFile loads a model from the named file (see LoadModel),
-// memory-mapping it when the platform allows: a v4 model is then served
-// straight out of the page cache — the mapping stays alive (and the
-// file's disk blocks stay referenced) until the model is
-// garbage-collected. Older versions decode by copying and release the
-// mapping before returning.
+// LoadModelFile loads a model from the named file: it reads the whole
+// file and loads the image with LoadModelBytes, so the model never
+// refers back to the file and a later rewrite of it cannot reach the
+// loaded model.
 func LoadModelFile(path string) (*Model, error) {
-	d, err := mmapx.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return LoadModelData(d)
-}
-
-// LoadModelData loads a model from an already-opened mapping (e.g. a
-// storage backend's Mapper), taking ownership of it: a v4 model pins
-// the mapping for its lifetime, any other outcome — load error, or an
-// older version that decodes by copying — closes it before returning.
-func LoadModelData(d *mmapx.Data) (*Model, error) {
-	m, err := LoadModelBytes(d.Bytes(), d)
-	if err != nil || m.arena == nil {
-		d.Close()
-	}
-	return m, err
+	return LoadModelBytes(data)
 }
 
 // spaceFromHeader validates and rebuilds a tuning space from a saved

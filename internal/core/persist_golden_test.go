@@ -214,7 +214,7 @@ func TestGoldenV3ModelBitIdentical(t *testing.T) {
 	if err := model.Save(&out); err != nil {
 		t.Fatal(err)
 	}
-	resaved, err := LoadModelBytes(out.Bytes(), nil)
+	resaved, err := LoadModelBytes(out.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSectionWalkerRejectsTruncation(t *testing.T) {
 		// still loads whole, and owns a trailing pad to cut into.
 		body := appendSection(append([]byte(nil), raw[start:]...), "XTRA", []byte{1, 2, 3}, c.align)
 		extended := append(raw[:start:start], body...)
-		if _, err := LoadModelBytes(extended, nil); err != nil {
+		if _, err := LoadModelBytes(extended); err != nil {
 			t.Fatalf("%s with an unknown trailing section: %v", c.file, err)
 		}
 		for _, b := range [][]byte{raw[start:], body} {
@@ -342,7 +342,7 @@ func TestSectionWalkerRejectsTruncation(t *testing.T) {
 	}
 	cuts := sectionBoundaries(t, raw, binAlign3)
 	for _, cut := range cuts[:len(cuts)-1] {
-		if _, err := LoadModelBytes(raw[:cut], nil); err == nil {
+		if _, err := LoadModelBytes(raw[:cut]); err == nil {
 			t.Fatalf("golden_v3.mlt cut at section boundary %d of %d loaded", cut, len(raw))
 		}
 	}

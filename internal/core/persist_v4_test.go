@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/ann"
@@ -17,7 +16,7 @@ import (
 
 // TestGoldenV4ModelBitIdentical pins the arena layout itself: the
 // committed artifact must load bit-identically — through both the
-// copy (reader) and zero-copy (mmap) paths — AND be byte-identical to
+// reader and the file loader — AND be byte-identical to
 // what Save emits for the same model, so the writer cannot drift
 // silently.
 func TestGoldenV4ModelBitIdentical(t *testing.T) {
@@ -65,28 +64,21 @@ func TestGoldenV4ModelBitIdentical(t *testing.T) {
 	preds := readGoldenPredictions(t, predPath)
 	checkGoldenPredictions(t, model, preds)
 
-	// Zero-copy path: the memory mapping. Predictions must match bit for
-	// bit and, on mmap platforms, actually serve out of the mapping.
-	mapped, err := LoadModelFile(modelPath)
+	// The file loader: predictions must match bit for bit.
+	fromFile, err := LoadModelFile(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped.arena == nil {
-		t.Fatal("v4 LoadModelFile did not retain the arena")
-	}
-	if runtime.GOOS == "linux" && !mapped.arena.Mapped() {
-		t.Fatal("v4 arena is not memory-mapped on linux")
-	}
-	checkGoldenPredictions(t, mapped, preds)
+	checkGoldenPredictions(t, fromFile, preds)
 	for _, name := range ann.EngineNames() {
-		if _, err := mapped.WithEngine(name); err != nil {
-			t.Fatalf("WithEngine(%q) on the mapped model: %v", name, err)
+		if _, err := fromFile.WithEngine(name); err != nil {
+			t.Fatalf("WithEngine(%q) on the file-loaded model: %v", name, err)
 		}
 	}
 
 	// Byte-stability: re-saving either loaded model reproduces the
 	// artifact exactly.
-	for _, m := range []*Model{model, mapped} {
+	for _, m := range []*Model{model, fromFile} {
 		var out bytes.Buffer
 		if err := m.Save(&out); err != nil {
 			t.Fatal(err)
@@ -253,7 +245,7 @@ func FuzzModelV4Codec(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := LoadModelBytes(data, nil)
+		m, err := LoadModelBytes(data)
 		if err != nil {
 			return // rejecting is fine; not panicking is the property
 		}
@@ -312,13 +304,11 @@ func benchInstallModel(b *testing.B, members, hidden int) *Model {
 }
 
 // BenchmarkModelInstall measures install-to-servable latency per
-// persistence version. The v3 arm loads the committed golden_v3.mlt
-// (Save no longer writes v3) through the copy-decode path, every float
-// copied. The v4 arms save synthetic models of two sizes: v4 install
-// stays near-flat as the model grows — the mmap open and section walk
-// touch metadata only, and weight pages fault in lazily as predictions
-// first use them (that deferral is the point: replica installs stop
-// paying for model size up front).
+// persistence version through LoadModelFile: read the whole file, then
+// copy-decode every weight onto the heap. The v3 arm loads the committed
+// golden_v3.mlt (Save no longer writes v3). The v4 arms save synthetic
+// models of two sizes, so the cost's growth with model size shows: it
+// is the file read plus one little-endian pass over the weights.
 func BenchmarkModelInstall(b *testing.B) {
 	type arm struct {
 		name    string

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"repro/internal/ann"
-	"repro/internal/mmapx"
 )
 
 // Version-3 binary model body, and the section stream shared with v4.
@@ -289,13 +288,10 @@ type decodedBody struct {
 	ensemble *ann.Ensemble
 }
 
-// decodeBinaryPayload decodes a v3 or v4 body. A v4 body is decoded in
-// place: the weights alias body, and arena, when non-nil, is the memory
-// mapping backing it, held by the ensemble that aliases it. With a nil
-// arena (heap-owned body) aliasing is still safe — the slices keep the
-// buffer alive. A v3 body is always copy-decoded, so nothing it returns
-// aliases body and the caller may release a mapping behind it.
-func decodeBinaryPayload(body []byte, version, members int, arena *mmapx.Data) (*decodedBody, error) {
+// decodeBinaryPayload decodes a v3 or v4 body. The weights are
+// copy-decoded little-endian onto the heap, so nothing it returns
+// aliases body.
+func decodeBinaryPayload(body []byte, version, members int) (*decodedBody, error) {
 	magic, align := binMagic, binAlign3
 	if version == modelVersionV4 {
 		magic, align = binMagic4, binAlign4
@@ -317,14 +313,9 @@ func decodeBinaryPayload(body []byte, version, members int, arena *mmapx.Data) (
 		return nil, fmt.Errorf("core: model weight section is %d bytes, shape wants %d", len(secs.weights), totalWeights*8)
 	}
 
-	// Zero-copy install aliases the v4 weight section in place. v3
-	// bodies, big-endian hosts and misaligned buffers copy-decode.
-	ws, aliased := mmapx.Float64s(secs.weights)
-	if !aliased || version != modelVersionV4 {
-		ws, aliased = make([]float64, totalWeights), false
-		for j := range ws {
-			ws[j] = math.Float64frombits(binary.LittleEndian.Uint64(secs.weights[8*j:]))
-		}
+	ws := make([]float64, totalWeights)
+	for j := range ws {
+		ws[j] = math.Float64frombits(binary.LittleEndian.Uint64(secs.weights[8*j:]))
 	}
 	off := 0
 	for i := range nets {
@@ -336,11 +327,7 @@ func decodeBinaryPayload(body []byte, version, members int, arena *mmapx.Data) (
 			off += cnt
 		}
 	}
-	var hold *mmapx.Data
-	if aliased {
-		hold = arena
-	}
-	d.ensemble, err = ann.EnsembleFromStateShared(ann.EnsembleState{Nets: nets}, hold)
+	d.ensemble, err = ann.EnsembleFromState(ann.EnsembleState{Nets: nets})
 	if err != nil {
 		return nil, err
 	}

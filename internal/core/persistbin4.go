@@ -8,13 +8,10 @@ import (
 	"repro/internal/ann"
 )
 
-// Version-4 binary model body: the zero-copy weight arena.
+// Version-4 binary model body: the 64-byte-aligned section arena.
 //
-// The v3 body made replica installs parse a flat buffer instead of a
-// gob stream, but installing still copied every weight to the heap.
-// The v4 body is a single contiguous arena laid out so a loader can
-// point the float64 weights straight into a read-only memory mapping
-// of the file:
+// The v4 body is the v3 section stream (persistbin.go) with every
+// section header and payload aligned to 64 bytes:
 //
 //	magic   "MLT4" + 4 reserved zero bytes, padded to 64   (64 bytes)
 //	section tag[4] | uint32 length | 56 reserved zero bytes (64-byte
@@ -22,16 +19,15 @@ import (
 //
 // The JSON header line above the body is space-padded so the body —
 // and therefore every section payload — starts at a 64-byte *file*
-// offset: payloads are cache-line aligned in the mapping, and the
-// float64 weights land on their natural alignment. Apart from the
-// alignment this is the v3 section stream, read by the same walker
-// (parseSections in persistbin.go); unknown tags are skipped on read.
-// Sections:
+// offset. The alignment is a format invariant: writers must keep it so
+// every v4 file stays byte-identical to the golden one, but the loader
+// does not rely on it, because it copy-decodes the weights like v3.
+// The same walker (parseSections in persistbin.go) reads both; unknown
+// tags are skipped on read. Sections:
 //
 //	"SCAL"  target scaler: Mean, Std                (2 × float64)
 //	"ENSH"  ensemble shape (identical payload encoding to v3)
-//	"WGTS"  all weights, member-major layer-major float64 LE — the
-//	        ensemble aliases this in place (ann.EnsembleFromStateShared)
+//	"WGTS"  all weights, member-major layer-major float64 LE
 //
 // A file carries nothing derived from its weights. Older v4 writers
 // also emitted quantised engine tables ("QLUT", "Q16T", "QNT8"); the
@@ -39,9 +35,7 @@ import (
 // including the top-M screen, is quantised from the loaded weights.
 // Writing is deterministic byte for byte. Reading validates every
 // length before allocating and returns errors — never panics — on
-// truncation or corruption. On platforms or payloads where aliasing is
-// impossible (big-endian, misaligned buffer) the loader transparently
-// copy-decodes; predictions are identical.
+// truncation or corruption.
 
 var binMagic4 = [8]byte{'M', 'L', 'T', '4', 0, 0, 0, 0}
 

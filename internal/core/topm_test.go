@@ -138,7 +138,7 @@ func TestConvolutionTopMMatchesExactSweep(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModelBytes(buf.Bytes(), nil)
+	loaded, err := LoadModelBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

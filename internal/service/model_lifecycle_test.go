@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,31 +17,21 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/devsim"
-	"repro/internal/mmapx"
-	"repro/internal/storage"
 	"repro/internal/tuning"
 )
 
-// TestMmapSwapLifecycle hammers the zero-copy model lifecycle under
-// the race detector: predicts stay in flight while the served model is
-// swapped (Put) and the registry's mapped cache is dropped (Reload),
-// so every iteration races an old mapping's retirement against
-// readers still scoring out of it. The properties pinned:
-//
-//   - no use-after-unmap: a mapping is closed only by the finalizer of
-//     a model no reader can reach any more, so the hammer must never
-//     fault (a violation crashes the test process);
-//   - no leaked mappings: once the mapped models are unreachable, GC
-//     must return mmapx.Live() to its baseline — nothing in the
-//     serve cache, registry, or scratch pools may pin an arena whose
-//     model was replaced.
+// TestMmapSwapLifecycle hammers the model lifecycle under the race
+// detector: predicts stay in flight while the served model is swapped
+// (Put) and the registry's cached models are dropped (Reload), so every
+// iteration races an old model's retirement against readers still
+// scoring with it. No reader may fail, and the race detector must see
+// no unsynchronised access to a slot, its serve state or a model.
 func TestMmapSwapLifecycle(t *testing.T) {
 	if testing.Short() && !raceEnabled {
 		// The hammer earns its seconds under -race; plain -short runs get
 		// coverage of the same paths from the functional tests.
-		t.Skip("skipping mmap lifecycle hammer in -short without -race")
+		t.Skip("skipping model lifecycle hammer in -short without -race")
 	}
-	baseline := mmapx.Live()
 
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -48,7 +43,7 @@ func TestMmapSwapLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The int8 engine exercises the most state per model: int8 tables
-	// quantised from the arena-backed weights, plus the int16 screen.
+	// quantised from the loaded weights, plus the int16 screen.
 	srv := newTestServer(t, reg, 1, 4, WithEngine(ann.EngineInt8))
 
 	stop := make(chan struct{})
@@ -76,9 +71,8 @@ func TestMmapSwapLifecycle(t *testing.T) {
 	}
 
 	// Swap loop: each round first drops every cached model (the next
-	// predict then maps the artifact fresh from disk — the path a serve
-	// replica's install takes), then replaces the artifact under the
-	// readers' feet.
+	// predict then loads the artifact fresh from disk), then replaces
+	// the artifact under the readers' feet.
 	deadline := time.Now().Add(3 * time.Second)
 	for i := 0; time.Now().Before(deadline); i++ {
 		if _, err := srv.ReloadModels(); err != nil {
@@ -96,49 +90,6 @@ func TestMmapSwapLifecycle(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatalf("reader failed mid-swap: %v", err)
 		}
-	}
-
-	// Retirement: the last swap left a heap-trained model in every
-	// cache, so every mapped model is now unreachable and GC must close
-	// their arenas. Finalizers need GC cycles to run, so poll.
-	for wait := 0; mmapx.Live() > baseline && wait < 100; wait++ {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := mmapx.Live(); got > baseline {
-		t.Fatalf("%d mappings leaked after the swap hammer (baseline %d, live %d)", got-baseline, baseline, got)
-	}
-}
-
-// TestMapperBackendServesMapped pins that a localfs-backed registry
-// actually takes the zero-copy path: a v4 artifact written by Put and
-// re-read after a reload serves out of a memory mapping on platforms
-// that support it, and the mapping is accounted in mmapx.Live.
-func TestMapperBackendServesMapped(t *testing.T) {
-	reg, err := OpenRegistry(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reg.Backend().(storage.Mapper); !ok {
-		t.Fatal("localfs backend does not implement storage.Mapper")
-	}
-	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
-	if err := reg.Put(key, trainTinyModel(t, 23)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Reload(); err != nil { // drop the Put-cached heap model
-		t.Fatal(err)
-	}
-	before := mmapx.Live()
-	m, err := reg.Get(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WeightFormat() != 4 {
-		t.Fatalf("freshly trained model persisted as v%d, want v4", m.WeightFormat())
-	}
-	if runtime.GOOS == "linux" && mmapx.Live() != before+1 {
-		t.Fatalf("mapped load did not register a live mapping (before %d, after %d)", before, mmapx.Live())
 	}
 }
 
@@ -175,21 +126,21 @@ func trainTinyPortable(t *testing.T, seed int64) *core.Model {
 	return model
 }
 
-// settledMappings runs GC until mmapx.Live stops falling, so mappings
-// other tests left unreachable are closed before a test takes its
-// baseline.
-func settledMappings() int {
-	last := mmapx.Live()
-	for i := 0; i < 50; i++ {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
-		now := mmapx.Live()
-		if now == last {
-			return now
+// watchRelease sets finalizers on m and on its ensemble, and returns a
+// func that runs GC until both have run: nothing reaches the model or
+// its weights any more. It reports false if that does not happen within
+// about a second. m must not have a finalizer already.
+func watchRelease(m *core.Model) func() bool {
+	var released atomic.Int32
+	runtime.SetFinalizer(m, func(*core.Model) { released.Add(1) })
+	runtime.SetFinalizer(m.Ensemble(), func(*ann.Ensemble) { released.Add(1) })
+	return func() bool {
+		for wait := 0; released.Load() < 2 && wait < 100; wait++ {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
 		}
-		last = now
+		return released.Load() == 2
 	}
-	return last
 }
 
 // TestSlotSwapReleasesServeState pins that a registry slot owns its
@@ -197,7 +148,8 @@ func settledMappings() int {
 //
 //   - a portable model bound for a requesting device is released by the
 //     swap of its <bench>@* slot alone — no further request for that
-//     device is needed before GC can close the replaced mapping;
+//     device is needed before GC can collect the replaced model and
+//     its weights;
 //   - serve state a request builds on a slot it fetched before a swap
 //     stays on that stale slot: the registry's current slot cannot reach
 //     it, so it lives only as long as the request;
@@ -214,27 +166,26 @@ func TestSlotSwapReleasesServeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newTestServer(t, reg, 1, 2)
-	if _, err := srv.ReloadModels(); err != nil { // serve @* from a mapping
+	// Serve @* from a model the registry loads from storage, so that
+	// nothing in this test holds the model the swap replaces.
+	if _, err := srv.ReloadModels(); err != nil {
 		t.Fatal(err)
 	}
-	baseline := settledMappings()
 	req := PredictRequest{Benchmark: "convolution", Device: devsim.AMD7970, HasIndex: true, Index: 5}
 	if resp, err := srv.Predict(&req); err != nil || resp.Resolution != resolutionPortable {
 		t.Fatalf("portable predict: %+v, %v", resp, err)
 	}
-	if runtime.GOOS == "linux" && mmapx.Live() != baseline+1 {
-		t.Fatalf("portable load did not map its artifact (baseline %d, live %d)", baseline, mmapx.Live())
+	loaded, err := reg.Get(pkey)
+	if err != nil {
+		t.Fatal(err)
 	}
+	released := watchRelease(loaded)
 
 	if err := srv.swapModel(pkey, func() error { return reg.Put(pkey, portable[1]) }); err != nil {
 		t.Fatal(err)
 	}
-	for wait := 0; mmapx.Live() > baseline && wait < 100; wait++ {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := mmapx.Live(); got > baseline {
-		t.Fatalf("the replaced portable model's mapping is still live after the swap (baseline %d, live %d)", baseline, got)
+	if !released() {
+		t.Fatal("the replaced portable model or its weights are still reachable after the swap")
 	}
 
 	// A request that fetched the slots before a swap builds its state
@@ -336,4 +287,151 @@ func TestSlotSwapReleasesServeState(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// trainPaperSizedModel fits the paper's model shape (11 members × 30
+// hidden neurons, §5.2) to simulated convolution measurements, with few
+// epochs: its artifact spans several pages, unlike trainTinyModel's.
+func trainPaperSizedModel(t *testing.T, seed int64) *core.Model {
+	t.Helper()
+	b := bench.MustLookup("convolution")
+	m, err := core.NewSimMeasurer(b, devsim.MustLookup(devsim.IntelI7), bench.Size{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var samples []core.Sample
+	for _, cfg := range b.Space().Sample(rng, 120) {
+		if secs, err := m.Measure(context.Background(), cfg); err == nil {
+			samples = append(samples, core.Sample{Config: cfg, Seconds: secs})
+		}
+	}
+	mc := core.DefaultModelConfig(seed)
+	mc.Ensemble.K = 11
+	mc.Ensemble.Hidden = 30
+	mc.Ensemble.Train.Epochs = 5
+	model, err := core.TrainModel(b.Space(), samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// modelAnswers is what a served model answers: predictions over a
+// stride of the space, and its top 5.
+type modelAnswers struct {
+	preds []float64
+	top   []core.Predicted
+}
+
+func answersOf(m *core.Model) modelAnswers {
+	var idxs []int64
+	for i := int64(0); i < m.Space().Size(); i += 97 {
+		idxs = append(idxs, i)
+	}
+	return modelAnswers{
+		preds: m.PredictIndices(idxs, m.NewBatchScratch(), nil),
+		top:   m.TopM(5),
+	}
+}
+
+// sameAnswers reports whether two answer sets are bit-identical.
+func sameAnswers(a, b modelAnswers) bool {
+	if len(a.preds) != len(b.preds) || len(a.top) != len(b.top) {
+		return false
+	}
+	for i := range a.preds {
+		if math.Float64bits(a.preds[i]) != math.Float64bits(b.preds[i]) {
+			return false
+		}
+	}
+	for i := range a.top {
+		if a.top[i].Index != b.top[i].Index ||
+			math.Float64bits(a.top[i].Seconds) != math.Float64bits(b.top[i].Seconds) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLoadedModelOwnsItsWeights pins that a loaded model never refers
+// back to the bytes it was loaded from. Model files may be dropped into
+// a registry directory or copied over in place (cp, or any O_TRUNC
+// write); a model the registry already serves must keep answering
+// bit-identically when its file is rewritten under it, whether with a
+// same-shape model's bytes or with a truncated file. Likewise a buffer
+// handed to LoadModelBytes is the caller's again once it returns.
+func TestLoadedModelOwnsItsWeights(t *testing.T) {
+	key := ModelKey{Benchmark: "convolution", Device: devsim.IntelI7}
+	served := trainPaperSizedModel(t, 51)
+	var other bytes.Buffer
+	if err := trainPaperSizedModel(t, 52).Save(&other); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		rewrite func(orig []byte) []byte
+	}{
+		{"same-shape model", func([]byte) []byte { return other.Bytes() }},
+		{"first half", func(orig []byte) []byte { return orig[:len(orig)/2] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg, err := OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Put(key, served); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Reload(); err != nil { // serve the model loaded from its file
+				t.Fatal(err)
+			}
+			m, err := reg.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m == served || m.WeightFormat() != 4 {
+				t.Fatalf("registry did not load the v4 artifact from storage (format %d)", m.WeightFormat())
+			}
+			want := answersOf(m)
+
+			path := filepath.Join(dir, key.fileName())
+			orig, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(orig) <= 2*os.Getpagesize() {
+				t.Fatalf("artifact is %d bytes; the test needs one spanning several pages", len(orig))
+			}
+			next := tc.rewrite(orig)
+			if len(next) == len(orig) && bytes.Equal(next, orig) {
+				t.Fatal("the rewrite does not change the file")
+			}
+			if err := os.WriteFile(path, next, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !sameAnswers(answersOf(m), want) {
+				t.Fatal("rewriting the file in place changed the served model's answers")
+			}
+		})
+	}
+
+	t.Run("zeroed load buffer", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := served.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		m, err := core.LoadModelBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := answersOf(m)
+		clear(data)
+		if !sameAnswers(answersOf(m), want) {
+			t.Fatal("zeroing the buffer passed to LoadModelBytes changed the model's answers")
+		}
+	})
 }

@@ -3,5 +3,5 @@
 package service
 
 // raceEnabled reports whether the race detector is compiled in; the
-// mmap lifecycle hammer keys its -short behaviour on it.
+// model lifecycle hammer keys its -short behaviour on it.
 const raceEnabled = true

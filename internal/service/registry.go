@@ -259,26 +259,16 @@ func (r *Registry) slot(key ModelKey) (*regEntry, error) {
 	return e, nil
 }
 
-// load reads one artifact from the backend, zero-copy when it offers
-// mappings: a v4 model on a Mapper backend then serves straight out of
-// the page cache with no decode pass — install-to-servable cost stops
-// scaling with model size — and the mapping stays valid across
-// concurrent Puts because Mapper backends replace objects by rename
-// only. Older versions (and non-mapping backends) copy-decode exactly
-// as before.
+// load reads one artifact from the backend and decodes it. The model
+// owns its weights, so nothing done to the stored object afterwards —
+// a Put, a Delete, or an in-place rewrite of a localfs file — can reach
+// the loaded model.
 func (r *Registry) load(name string) (*core.Model, error) {
-	if mp, ok := r.be.(storage.Mapper); ok {
-		d, _, err := mp.Map(name)
-		if err != nil {
-			return nil, err
-		}
-		return core.LoadModelData(d) // takes ownership of the mapping
-	}
 	data, _, err := r.be.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return core.LoadModelBytes(data, nil)
+	return core.LoadModelBytes(data)
 }
 
 // GetRaw returns key's serialised artifact bytes and generation — the
@@ -320,10 +310,9 @@ func (r *Registry) Put(key ModelKey, model *core.Model) error {
 // extra load, and a corrupt or truncated upstream response can never
 // reach the registry.
 func (r *Registry) Install(key ModelKey, data []byte) (uint64, error) {
-	// LoadModelBytes, not LoadModel: a v4 artifact pulled over the wire
-	// installs zero-copy, aliasing the fetched buffer in place instead of
-	// decoding every weight onto the heap.
-	model, err := core.LoadModelBytes(data, nil)
+	// The parsed model owns copies of its weights, so data may be
+	// persisted (and later reused by the caller) independently of it.
+	model, err := core.LoadModelBytes(data)
 	if err != nil {
 		return 0, fmt.Errorf("service: installing model %s: artifact does not parse: %w", key, err)
 	}

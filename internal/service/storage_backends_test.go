@@ -44,7 +44,7 @@ func TestRegistryOverBackends(t *testing.T) {
 		"input block": inputBlock,
 	}
 	for name, data := range rejected {
-		if _, err := core.LoadModelBytes(data, nil); err == nil {
+		if _, err := core.LoadModelBytes(data); err == nil {
 			t.Errorf("LoadModelBytes accepted the %s artifact", name)
 		}
 	}

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/mmapx"
 )
 
 // ErrNotExist reports an operation on an object the backend does not
@@ -77,19 +75,6 @@ type Backend interface {
 // per interrupted write forever.
 type Sweeper interface {
 	Sweep() error
-}
-
-// Mapper is implemented by backends whose objects can be opened
-// zero-copy as a memory mapping. Map returns the object's contents
-// without copying them onto the heap when the platform allows (the
-// mmapx.Data reports whether it is actually mapped); callers own the
-// mapping and must Close it when done. The mapping observes the object
-// as of the call: localfs only ever replaces objects by rename, so the
-// mapped inode stays intact — and the mapping stays valid — even if
-// the object is replaced or deleted afterwards. Backends that cannot
-// give that guarantee must not implement Mapper.
-type Mapper interface {
-	Map(name string) (*mmapx.Data, ObjectInfo, error)
 }
 
 // tmpPrefix marks in-flight write temporaries in backends that need

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/mmapx"
 )
 
 // localFS is the on-disk backend: one flat directory, one file per
@@ -180,37 +178,6 @@ func (l *localFS) Get(name string) ([]byte, ObjectInfo, error) {
 		return nil, ObjectInfo{}, fmt.Errorf("storage: reading %s: %w", name, err)
 	}
 	return data, info, nil
-}
-
-// Map opens the object zero-copy. localfs may implement Mapper because
-// its replacement discipline is rename-only: the mapped inode is never
-// rewritten in place, so a concurrent Put or Delete cannot change or
-// truncate pages under an existing mapping (the old inode lives until
-// the last open reference — including the mapping — goes away).
-func (l *localFS) Map(name string) (*mmapx.Data, ObjectInfo, error) {
-	if err := ValidateName(name); err != nil {
-		return nil, ObjectInfo{}, err
-	}
-	path := filepath.Join(l.dir, name)
-	d, err := mmapx.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotExist, name)
-		}
-		return nil, ObjectInfo{}, fmt.Errorf("storage: mapping %s: %w", name, err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		d.Close()
-		if os.IsNotExist(err) {
-			return nil, ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotExist, name)
-		}
-		return nil, ObjectInfo{}, fmt.Errorf("storage: mapping %s: %w", name, err)
-	}
-	l.mu.Lock()
-	gen := l.refreshLocked(name, st.ModTime().UnixNano(), st.Size())
-	l.mu.Unlock()
-	return d, ObjectInfo{Name: name, Size: int64(len(d.Bytes())), ModTime: st.ModTime().UTC(), Generation: gen}, nil
 }
 
 func (l *localFS) Put(name string, data []byte) (ObjectInfo, error) {

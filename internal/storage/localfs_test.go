@@ -177,55 +177,48 @@ func TestLocalFSDeleteForgetsGeneration(t *testing.T) {
 	}
 }
 
-// TestLocalFSMapper pins the Mapper contract on localfs: Map returns
-// the object's exact bytes (memory-mapped on platforms that support
-// it), a generation consistent with Stat, and — because replacement is
-// rename-only — an existing mapping keeps serving the old contents
-// unchanged after the object is replaced or deleted.
-func TestLocalFSMapper(t *testing.T) {
+// TestLocalFSGetIsCallerOwned pins Backend.Get's ownership contract on
+// localfs: Get returns a generation consistent with Stat and a slice
+// that is the caller's to keep. Bytes a reader already holds stay
+// unchanged when the object is replaced or deleted afterwards, and a
+// write to them does not reach the stored object. The registry's
+// loader relies on this.
+func TestLocalFSGetIsCallerOwned(t *testing.T) {
 	be, err := storage.OpenLocalFS(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
-	}
-	mp, ok := be.(storage.Mapper)
-	if !ok {
-		t.Fatal("localfs does not implement storage.Mapper")
-	}
-	if _, _, err := mp.Map("absent"); !errors.Is(err, storage.ErrNotExist) {
-		t.Fatalf("Map(absent) = %v, want ErrNotExist", err)
 	}
 	old := []byte("generation one contents")
 	if _, err := be.Put("model.mlt", old); err != nil {
 		t.Fatal(err)
 	}
-	d, info, err := mp.Map("model.mlt")
+	got, info, err := be.Get("model.mlt")
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer d.Close()
-	if !bytes.Equal(d.Bytes(), old) {
-		t.Fatalf("mapped bytes = %q, want %q", d.Bytes(), old)
-	}
-	if info.Size != int64(len(old)) {
-		t.Fatalf("info.Size = %d, want %d", info.Size, len(old))
 	}
 	st, err := be.Stat("model.mlt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Generation != st.Generation {
-		t.Fatalf("Map generation %d != Stat generation %d", info.Generation, st.Generation)
+		t.Fatalf("Get generation %d != Stat generation %d", info.Generation, st.Generation)
+	}
+	got[0] ^= 0xff
+	again, _, err := be.Get("model.mlt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, old) {
+		t.Fatalf("a write to Get's slice reached the stored object: %q", again)
 	}
 
-	// Replace and delete under the live mapping: rename-only replacement
-	// means the mapped inode — and therefore these bytes — cannot change.
 	if _, err := be.Put("model.mlt", []byte("generation two, longer than before")); err != nil {
 		t.Fatal(err)
 	}
 	if err := be.Delete("model.mlt"); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(d.Bytes(), old) {
-		t.Fatal("mapping changed after the object was replaced and deleted")
+	if !bytes.Equal(again, old) {
+		t.Fatal("bytes returned by Get changed after the object was replaced and deleted")
 	}
 }
