@@ -47,13 +47,19 @@ import (
 // EncodeIndexQ14 features (pinned by TestSweeperMatchesBatch). A float
 // engine cannot sweep incrementally without invalidating its error
 // argument, which is why the fixed-point engine wins the full-space
-// sweep: the per-config cost drops to the sigmoid lookups and the
-// output dot.
+// sweep. What is left per configuration is finishing it: every member's
+// H sigmoid lookups and output dot.
 //
 // The same per-slot relaxation that lets BoundsCeil skip a subtree
 // also floors one up front: Floor lower-bounds every configuration of an
 // aligned subtree for the price of one finish, so the top-M sweep can
-// order its units best-first and stop before walking the rest.
+// order its units best-first and stop before walking the rest. Under a
+// finite ceiling BoundsCeil also cuts each finish short: members are
+// summed in order, and the finish stops as soon as the members summed
+// so far plus floors for the rest prove the result above the ceiling.
+// The floors are the member terms of the innermost enclosing subtree's
+// relaxation, which the failing subtree check that led into it has
+// already computed (see BoundsCeil).
 //
 // The bracket half-width is the engine's ErrorBound for a sweeper from
 // NewIndexSweeper. NewSweeper instead proves one for the sweep's own
@@ -116,6 +122,23 @@ type QuantSweeper struct {
 	deep bool
 	// pruneInit records that initPrune ran (pickTail may still be nil).
 	pruneInit bool
+	// terms[m] is member m's term in the latest finish (the value it adds
+	// to the ensemble sum); noFloors is the all-zero floor vector of a
+	// finish that is never cut.
+	terms, noFloors []float64
+	// floorRest is BoundsCeil's floor stack, built by initPrune: entry i
+	// belongs to the subtree spanning positions floorLvl[i]..P-1 that
+	// encloses the walk, and floorRest[i][m] sums members m+1..K-1's terms
+	// of that subtree's relaxation, each of which floors that member's term
+	// everywhere in the subtree. Entry 0 is the whole space; an entry is
+	// dropped as soon as a digit above its level changes, and floorTop is
+	// the innermost live entry.
+	floorRest [][]float64
+	floorLvl  []int
+	floorTop  int
+	// termMax bounds Σ_m |member m's term| over every accumulator the
+	// sweep can reach: the scale of the cut's rounding slack (cutFor).
+	termMax float64
 }
 
 // NewIndexSweeper builds a sweeper for a space whose position p has
@@ -133,13 +156,15 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 	}
 	P := len(levels)
 	s := &QuantSweeper{
-		q:      q,
-		arity:  make([]int64, P),
-		size:   1,
-		digits: make([]int, P),
-		invK:   1 / float64(len(q.members)),
-		cur:    -1,
-		bound:  q.bound,
+		q:        q,
+		arity:    make([]int64, P),
+		size:     1,
+		digits:   make([]int, P),
+		invK:     1 / float64(len(q.members)),
+		cur:      -1,
+		bound:    q.bound,
+		terms:    make([]float64, len(q.members)),
+		noFloors: make([]float64, len(q.members)),
 	}
 	for p, lv := range levels {
 		if len(lv) == 0 {
@@ -313,8 +338,23 @@ func (s *QuantSweeper) Fork() *QuantSweeper {
 		f.actA = make([]int16, s.q.maxWidth)
 		f.actB = make([]int16, s.q.maxWidth)
 	}
-	f.fresh, f.cur = 0, -1
+	f.terms = make([]float64, len(s.terms))
+	if s.floorRest != nil {
+		f.floorRest, f.floorLvl = newFloorStack(len(s.digits), len(s.terms))
+		copy(f.floorRest[0], s.floorRest[0])
+	}
+	f.fresh, f.cur, f.floorTop = 0, -1, 0
 	return &f
+}
+
+// newFloorStack allocates a floor stack for P positions and K members:
+// the whole space, then at most one subtree per level.
+func newFloorStack(P, K int) (rest [][]float64, lvl []int) {
+	rest = make([][]float64, P+1)
+	for i := range rest {
+		rest[i] = make([]float64, K)
+	}
+	return rest, make([]int, P+1)
 }
 
 // Size returns the swept space's configuration count.
@@ -329,6 +369,7 @@ func (s *QuantSweeper) seek(idx int64) {
 		rem /= s.arity[p]
 	}
 	s.fresh = 0
+	s.floorTop = 0
 	s.cur = idx
 }
 
@@ -340,8 +381,9 @@ func (s *QuantSweeper) carry() {
 }
 
 // bump advances the digit at position p by one, propagating carries
-// towards position 0, and marks the prefix rows from the changed
-// position down stale. The caller guarantees the odometer has room.
+// towards position 0, marks the prefix rows from the changed position
+// down stale and drops the floors of the subtrees the walk has left.
+// The caller guarantees the odometer has room.
 func (s *QuantSweeper) bump(p int) {
 	for int64(s.digits[p]+1) == s.arity[p] {
 		s.digits[p] = 0
@@ -349,6 +391,9 @@ func (s *QuantSweeper) bump(p int) {
 	}
 	s.digits[p]++
 	s.fresh = min(s.fresh, p)
+	for s.floorTop > 0 && s.floorLvl[s.floorTop] > p {
+		s.floorTop--
+	}
 }
 
 // row returns prefix[p], first rebuilding the stale rows up to it:
@@ -384,22 +429,29 @@ func (s *QuantSweeper) rowAbove(p int) []int64 {
 // the final accumulator add with sigmoid lookups, per-member output
 // layers and the ensemble mean. The integer adds are exact and the
 // float accumulation order mirrors PredictBatchQ14 exactly, so the
-// result is bit-identical to the batch path.
-func (s *QuantSweeper) finish(parent, c []int64) float64 {
+// result is bit-identical to the batch path. Each member's term is left
+// in s.terms.
+//
+// The finish is cut short, returning +Inf, as soon as the members summed
+// so far plus rest[m] — a sum of floors on the terms of members m+1..K-1
+// — reach cut (see cutFor): the output is then provably too high to
+// matter. A +Inf cut never cuts, which is how Bounds and Floor finish.
+func (s *QuantSweeper) finish(parent, c []int64, rest []float64, cut float64) float64 {
 	lut := (*[qLutSize]int16)(s.q.lut)
+	terms := s.terms[:len(s.q.members)]
+	rest = rest[:len(terms)]
 	sum := 0.0
 	off := 0
-	for _, layers := range s.q.members {
+	for m, layers := range s.q.members {
 		l0 := &layers[0]
-		if l0.linear {
+		var t float64
+		switch {
+		case l0.linear:
 			// Single-layer member: parent+contrib is the linear output's
 			// accumulator (bias folded into base), so finishing is one add
 			// and one scale multiply.
-			sum += float64(parent[off]+c[off]) * l0.invOut
-			off += l0.out
-			continue
-		}
-		if len(layers) == 2 && layers[1].linear {
+			t = float64(parent[off]+c[off]) * l0.invOut
+		case len(layers) == 2 && layers[1].linear:
 			// Paper topology: fuse the last accumulator add, shift, lookup
 			// and the output dot. The output dot accumulates in the same
 			// 4-chain order as dotQ so the integer value — and therefore the
@@ -424,34 +476,44 @@ func (s *QuantSweeper) finish(parent, c []int64) float64 {
 			for j := range w {
 				a0 += int64(w[j]) * int64(lut[lutCell(pr[j]+cr[j], shift)])
 			}
-			sum += float64(lOut.b[0]+a0+a1+a2+a3) * lOut.invOut
-			off += l0.out
-			continue
+			t = float64(lOut.b[0]+a0+a1+a2+a3) * lOut.invOut
+		default:
+			t = s.deepTerm(layers, parent[off:], c[off:])
 		}
-		// Deeper members: materialise the first-layer activations, then
-		// run the remaining layers single-sample through the shared cell
-		// arithmetic.
-		cur := s.actA[:l0.out]
-		for j := 0; j < l0.out; j++ {
-			cur[j] = lut[lutCell(parent[off+j]+c[off+j], l0.shift)]
-		}
-		nxt := s.actB
-		for li := 1; li < len(layers); li++ {
-			l := &layers[li]
-			if l.linear {
-				sum += float64(l.b[0]+dotQ(l.w[:l.in], cur)) * l.invOut
-				break
-			}
-			row := nxt[:l.out]
-			for j := 0; j < l.out; j++ {
-				a := l.b[j] + dotQ(l.w[j*l.in:(j+1)*l.in], cur)
-				row[j] = lut[lutCell(a, l.shift)]
-			}
-			cur, nxt = row, cur[:cap(cur)]
+		terms[m] = t
+		sum += t
+		if sum+rest[m] >= cut {
+			return math.Inf(1)
 		}
 		off += l0.out
 	}
 	return sum * s.invK
+}
+
+// deepTerm finishes a member deeper than the paper topology: it
+// materialises the first-layer activations, then runs the remaining
+// layers single-sample through the shared cell arithmetic.
+func (s *QuantSweeper) deepTerm(layers []qLayer, parent, c []int64) float64 {
+	lut := (*[qLutSize]int16)(s.q.lut)
+	l0 := &layers[0]
+	cur := s.actA[:l0.out]
+	for j := range cur {
+		cur[j] = lut[lutCell(parent[j]+c[j], l0.shift)]
+	}
+	nxt := s.actB
+	for li := 1; li < len(layers); li++ {
+		l := &layers[li]
+		if l.linear {
+			return float64(l.b[0]+dotQ(l.w[:l.in], cur)) * l.invOut
+		}
+		row := nxt[:l.out]
+		for j := 0; j < l.out; j++ {
+			a := l.b[j] + dotQ(l.w[j*l.in:(j+1)*l.in], cur)
+			row[j] = lut[lutCell(a, l.shift)]
+		}
+		cur, nxt = row, cur[:cap(cur)]
+	}
+	return 0
 }
 
 // lutCell maps an accumulator onto the sigmoid grid, clamped: the shared
@@ -490,7 +552,7 @@ func (s *QuantSweeper) Bounds(start int64, n int, lb, ub []float64) {
 			run = n - i
 		}
 		for r := 0; r < run; r++ {
-			val := s.finish(parent, lastContrib[(v+r)*s.H:(v+r+1)*s.H])
+			val := s.finish(parent, lastContrib[(v+r)*s.H:(v+r+1)*s.H], s.noFloors, math.Inf(1))
 			lb[i] = val - bound
 			ub[i] = val + bound
 			i++
@@ -518,9 +580,16 @@ func (s *QuantSweeper) Bounds(start int64, n int, lb, ub []float64) {
 // relaxation takes the minimum contribution there and the maximum
 // otherwise. Deeper members compose non-monotonically: pickTail stays
 // nil and BoundsCeil degrades to Bounds.
+//
+// Each member's term is monotone in its own slots alone, so each term
+// of a subtree's relaxation floors that member's term everywhere in the
+// subtree; the whole space's relaxation terms are the bottom entry of
+// the floor stack. initPrune also bounds the terms' magnitudes (termMax)
+// for cutFor's rounding slack.
 func (s *QuantSweeper) initPrune() {
 	s.pruneInit = true
 	wantMin := make([]bool, s.H)
+	termMax := 0.0
 	off := 0
 	for _, layers := range s.q.members {
 		l0 := layers[0]
@@ -529,11 +598,25 @@ func (s *QuantSweeper) initPrune() {
 			for j := 0; j < l0.out; j++ {
 				wantMin[off+j] = l0.invOut >= 0
 			}
+			// Every reachable accumulator is base plus one level of each
+			// position.
+			acc := math.Abs(float64(s.base[off]))
+			for p, c := range s.contrib {
+				most := 0.0
+				for v := 0; v < int(s.arity[p]); v++ {
+					most = max(most, math.Abs(float64(c[v*s.H+off])))
+				}
+				acc += most
+			}
+			termMax += acc * math.Abs(l0.invOut)
 		case len(layers) == 2 && layers[1].linear:
 			lOut := layers[1]
+			acc := math.Abs(float64(lOut.b[0]))
 			for j := 0; j < l0.out; j++ {
 				wantMin[off+j] = (lOut.invOut >= 0) == (lOut.w[j] >= 0)
+				acc += math.Abs(float64(lOut.w[j])) * qOne // LUT entries lie in [0, qOne]
 			}
+			termMax += acc * math.Abs(lOut.invOut)
 		default:
 			return
 		}
@@ -563,6 +646,59 @@ func (s *QuantSweeper) initPrune() {
 		pickTail[p] = pick
 	}
 	s.pickTail = pickTail
+	s.termMax = termMax
+	s.floorRest, s.floorLvl = newFloorStack(P, len(s.terms))
+	s.finish(s.base, pickTail[0], s.noFloors, math.Inf(1))
+	s.floorTop = -1
+	s.pushFloor(0)
+}
+
+// pushFloor makes the subtree spanning positions p..P-1 around the walk
+// the floor stack's innermost entry, from the member terms the finish of
+// its relaxation left in s.terms. Their suffix sums are taken backwards
+// in member order.
+func (s *QuantSweeper) pushFloor(p int) {
+	for s.floorTop > 0 && s.floorLvl[s.floorTop] >= p {
+		s.floorTop--
+	}
+	s.floorTop++
+	s.floorLvl[s.floorTop] = p
+	rest := s.floorRest[s.floorTop]
+	acc := 0.0
+	for m := len(rest) - 1; m >= 0; m-- {
+		rest[m] = acc
+		acc += s.terms[m]
+	}
+}
+
+// cutFor returns the ensemble sum at and above which finish may stop: a
+// configuration whose member sum reaches it has a lower bound above
+// ceil, +Inf when no such sum exists.
+//
+// Let T be finish's forward sum of the member terms, so that lb =
+// float64(T·invK) − bound (the conversion rounds the product on its own,
+// as finish's return does, so no fused multiply-add can differ); lb is
+// non-decreasing in T, and g below is a sum whose lb exceeds ceil, so
+// T ≥ g proves lb > ceil. After member m,
+// with S the forward sum so far and f_k ≤ t_k the floors of the members
+// still to come, rounding is monotone, so T ≥ F, F being the forward sum
+// of S, f_{m+1}, …, f_{K-1}. finish does not compute F (that is K−m
+// more adds per member) but D = S + rest[m], rest[m] being the suffix
+// sum of the floors. F and D are two roundings of the same real sum
+// S + Σ f_k, each within about K·2^-53·termMax of it, so they differ by
+// at most (2K+4)·2^-53·termMax. The cut adds to g a slack of
+// (8K+16)·2^-53·(termMax + |g|), which also covers its own rounding:
+// D reaching the cut puts F, and so T, at or above g.
+func (s *QuantSweeper) cutFor(ceil float64) float64 {
+	K := float64(len(s.terms))
+	g := (ceil + s.bound) * K
+	for range 64 {
+		if float64(g*s.invK)-s.bound > ceil {
+			return g + (K+2)*0x1p-50*(s.termMax+math.Abs(g))
+		}
+		g = math.Nextafter(g, math.Inf(1))
+	}
+	return math.Inf(1)
 }
 
 // BoundsCeil is Bounds with a pruning ceiling: entries whose lower bound
@@ -576,6 +712,16 @@ func (s *QuantSweeper) initPrune() {
 // Failed checks descend one position and retry, down to the plain tile
 // walk. A +Inf ceiling — or a topology initPrune refuses — degrades to
 // Bounds exactly.
+//
+// Every finish here, subtree check or single configuration, is cut
+// short once the members summed so far plus floors for the rest prove
+// it above the ceiling (finish, cutFor), and a cut configuration is
+// reported as +Inf. The floors come from the floor stack: a failed check
+// ran to its last member, so its member terms floor every configuration
+// below it, and they become the innermost entry until the walk leaves
+// that subtree. A window that starts on a subtree boundary lets the
+// walk check, and so floor, every tile it finishes. Which subtrees are
+// skipped, and every finite entry, are exactly as without the cut.
 func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil float64) {
 	if !s.pruneInit {
 		s.initPrune()
@@ -594,6 +740,7 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 		s.seek(start)
 	}
 	bound := s.bound
+	cut := s.cutFor(ceil)
 	P := len(s.digits)
 	lastAr := int(s.arity[P-1])
 	lastContrib := s.contrib[P-1]
@@ -612,7 +759,7 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 				if s.subSize[p] > int64(n-i) {
 					continue
 				}
-				if s.finish(s.rowAbove(p), s.pickTail[p])-bound > ceil {
+				if s.finish(s.rowAbove(p), s.pickTail[p], s.floorRest[s.floorTop], cut)-bound > ceil {
 					for k := int64(0); k < s.subSize[p]; k++ {
 						lb[i] = math.Inf(1)
 						ub[i] = math.Inf(1)
@@ -625,19 +772,21 @@ func (s *QuantSweeper) BoundsCeil(start int64, n int, lb, ub []float64, ceil flo
 					pruned = true
 					break
 				}
+				s.pushFloor(p)
 			}
 			if pruned {
 				continue
 			}
 		}
 		parent := s.rowAbove(P - 1) // shared by the whole tile
+		rest := s.floorRest[s.floorTop]
 		v := s.digits[P-1]
 		run := lastAr - v
 		if run > n-i {
 			run = n - i
 		}
 		for r := 0; r < run; r++ {
-			val := s.finish(parent, lastContrib[(v+r)*s.H:(v+r+1)*s.H])
+			val := s.finish(parent, lastContrib[(v+r)*s.H:(v+r+1)*s.H], rest, cut)
 			lb[i] = val - bound
 			ub[i] = val + bound
 			i++
@@ -677,5 +826,5 @@ func (s *QuantSweeper) Floor(start, n int64) (floor float64, ok bool) {
 	if start != s.cur {
 		s.seek(start)
 	}
-	return s.finish(s.rowAbove(p), s.pickTail[p]) - s.bound, true
+	return s.finish(s.rowAbove(p), s.pickTail[p], s.noFloors, math.Inf(1)) - s.bound, true
 }

@@ -290,10 +290,12 @@ func TestSweeperFloor(t *testing.T) {
 	}
 }
 
-// TestSweeperZeroAlloc pins that a sweeping Bounds pass and a unit
-// Floor query allocate nothing: the sweeper exists to make full-space
+// TestSweeperZeroAlloc pins that a sweeping Bounds pass, a unit Floor
+// query and a BoundsCeil pass at a finite ceiling allocate nothing, on a
+// fresh sweeper and on a Fork: the sweeper exists to make full-space
 // screening cheap, and a per-block allocation would show up a hundred
-// thousand times per sweep.
+// thousand times per sweep. The floor stack BoundsCeil cuts finishes
+// with is allocated once per sweeper, and a fork gets its own up front.
 func TestSweeperZeroAlloc(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
@@ -303,24 +305,43 @@ func TestSweeperZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		all := make([]float64, sp.size)
+		sw.Bounds(0, int(sp.size), all, make([]float64, sp.size))
+		sort.Float64s(all)
+		ceil := all[len(all)/2]
 		n := 32
 		if int64(n) > sp.size {
 			n = int(sp.size)
 		}
 		lb := make([]float64, n)
 		ub := make([]float64, n)
-		if allocs := testing.AllocsPerRun(20, func() {
-			sw.Floor(0, sp.size)
-			sw.Bounds(0, n, lb, ub)
-			if rest := sp.size - int64(n); rest > 0 {
-				m := n
-				if int64(m) > rest {
-					m = int(rest)
+		pass := func(sw *QuantSweeper) func() {
+			return func() {
+				sw.Floor(0, sp.size)
+				sw.Bounds(0, n, lb, ub)
+				sw.BoundsCeil(0, n, lb, ub, ceil)
+				if rest := sp.size - int64(n); rest > 0 {
+					m := n
+					if int64(m) > rest {
+						m = int(rest)
+					}
+					sw.Bounds(int64(n), m, lb, ub)
+					sw.BoundsCeil(int64(n), m, lb, ub, ceil)
 				}
-				sw.Bounds(int64(n), m, lb, ub)
 			}
-		}); allocs != 0 {
-			t.Errorf("%s/%s: Floor and Bounds allocated %.1f times per sweep pass", ec.name, q.Name(), allocs)
+		}
+		fresh, err := q.NewIndexSweeper(sp.levels, sp.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			sw   *QuantSweeper
+		}{{"fresh", fresh}, {"fork", sw.Fork()}} {
+			if allocs := testing.AllocsPerRun(20, pass(c.sw)); allocs != 0 {
+				t.Errorf("%s/%s %s: Floor, Bounds and BoundsCeil allocated %.1f times per sweep pass",
+					ec.name, q.Name(), c.name, allocs)
+			}
 		}
 	}
 }

@@ -140,3 +140,98 @@ func FuzzSweepBound(f *testing.F) {
 		checkSweepContainment(t, q, e, levels, tail)
 	})
 }
+
+// FuzzBoundsCeil checks BoundsCeil's contract (see TestSweeperBoundsCeil)
+// at the last bit, on FuzzSweepBound's kind of random ensembles: 1–4
+// paper-topology or single-layer linear members with weights up to mag,
+// so the cut's floors and rounding slack meet large, cancelling member
+// terms. The ceilings sit at exact lb values and one ulp either side,
+// where a cut that is not exact would drop an entry whose lb equals the
+// ceiling. The windows have random lengths and sometimes jump, so they
+// cut tiles and subtrees, and one walk runs on a Fork.
+func FuzzBoundsCeil(f *testing.F) {
+	f.Add(int64(1), 1.0, uint8(0x37))
+	f.Add(int64(2), 32000.0, uint8(0x7b))
+	f.Add(int64(3), 40.0, uint8(0x7f))
+	f.Add(int64(4), 1e-5, uint8(0x6e))
+	f.Add(int64(5), 7.0, uint8(0xe3))
+	f.Fuzz(func(t *testing.T, seed int64, mag float64, shape uint8) {
+		if !(mag > 0 && mag <= 32767) {
+			t.Skip("weight magnitude outside what the int16 quantiser accepts")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		in := 1 + int(shape&3)
+		hidden := 1 + int(shape>>2&7)
+		sizes, acts := []int{in, hidden, 1}, []Activation{Sigmoid, Linear}
+		if shape&0x80 != 0 {
+			sizes, acts = []int{in, 1}, []Activation{Linear}
+		}
+		nets := make([]*Network, 1+int(shape>>5&3))
+		for i := range nets {
+			n := MustNew(rng, sizes, acts...)
+			for _, w := range n.weights {
+				for j := range w {
+					w[j] = mag * (2*rng.Float64() - 1)
+					if rng.Intn(8) == 0 {
+						w[j] = math.Copysign(mag, w[j])
+					}
+				}
+			}
+			nets[i] = n
+		}
+		e := &Ensemble{nets: nets}
+		q, err := QuantizeEnsemble(e)
+		if err != nil {
+			t.Skip(err)
+		}
+		tailLen := rng.Intn(in)
+		levels, tail := floatSweepLevels(rng, in-tailLen, tailLen)
+		ref, err := q.NewSweeper(e, levels, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := ref.Size()
+		wantLb := make([]float64, size)
+		wantUb := make([]float64, size)
+		ref.Bounds(0, int(size), wantLb, wantUb)
+
+		lb := make([]float64, size)
+		ub := make([]float64, size)
+		for c := 0; c < 3; c++ {
+			at := wantLb[rng.Int63n(size)]
+			for _, ceil := range []float64{math.Nextafter(at, math.Inf(-1)), at, math.Nextafter(at, math.Inf(1))} {
+				sw, err := q.NewSweeper(e, levels, tail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c == 1 {
+					sw.Floor(0, size)
+					sw = sw.Fork()
+				}
+				// Walk the space twice over in windows of random length,
+				// continuing where the last one ended or jumping.
+				for start, walked := int64(0), int64(0); walked < 2*size; {
+					if rng.Intn(4) == 0 {
+						start = rng.Int63n(size)
+					}
+					n := 1 + rng.Int63n(size-start)
+					sw.BoundsCeil(start, int(n), lb, ub, ceil)
+					for i := int64(0); i < n; i++ {
+						idx := start + i
+						if math.IsInf(lb[i], 1) {
+							if !math.IsInf(ub[i], 1) || wantLb[idx] <= ceil {
+								t.Fatalf("ceil %v index %d: pruned to [%v, %v] but true lb %v ≤ ceil",
+									ceil, idx, lb[i], ub[i], wantLb[idx])
+							}
+						} else if lb[i] != wantLb[idx] || ub[i] != wantUb[idx] {
+							t.Fatalf("ceil %v index %d: [%v, %v] != Bounds [%v, %v]",
+								ceil, idx, lb[i], ub[i], wantLb[idx], wantUb[idx])
+						}
+					}
+					walked += n
+					start = (start + n) % size
+				}
+			}
+		}
+	})
+}

@@ -522,13 +522,26 @@ type sweepUnit struct {
 }
 
 // unitSize returns the configuration count of the best-first sweep's
-// units: the largest digit-aligned subtree — a product of the last
-// parameters' arities, in tuning.Space.At's layout — no larger than
-// sweepUnitMax, and at least one last-parameter tile.
-func (m *Model) unitSize() int64 {
+// units: the largest digit-aligned subtree no larger than sweepUnitMax.
+func (m *Model) unitSize() int64 { return m.alignedSize(sweepUnitMax) }
+
+// screenWindow returns the configuration count of the windows the sweep
+// screens a unit in: the largest digit-aligned subtree of at most
+// predictBlock configurations (160 on raycasting), so that no window
+// edge cuts a tile or a subtree the screen could check, or predictBlock
+// when the last parameter alone has more levels. Units are then whole
+// numbers of windows whenever the last parameter has at most
+// predictBlock levels.
+func (m *Model) screenWindow() int64 { return min(m.alignedSize(predictBlock), predictBlock) }
+
+// alignedSize returns the configuration count of the largest
+// digit-aligned subtree — a product of the last parameters' arities, in
+// tuning.Space.At's layout — no larger than limit, and at least one
+// last-parameter tile.
+func (m *Model) alignedSize(limit int64) int64 {
 	params := m.space.Params()
 	n := int64(len(params[len(params)-1].Values))
-	for i := len(params) - 2; i >= 0 && n*int64(len(params[i].Values)) <= sweepUnitMax; i-- {
+	for i := len(params) - 2; i >= 0 && n*int64(len(params[i].Values)) <= limit; i-- {
 		n *= int64(len(params[i].Values))
 	}
 	return n
@@ -577,6 +590,13 @@ func floorUnits(sweep *ann.QuantSweeper, n int64) []sweepUnit {
 // floor, splits the space into one contiguous partition per worker and
 // walks it in index order.
 //
+// Each unit is screened in windows (screenWindow) that start and end on
+// subtree boundaries, so the sweeper can check every tile before it
+// finishes the tile's configurations, and each failed check floors the
+// finishes below it (ann.QuantSweeper.BoundsCeil). A window edge inside
+// a tile would leave that tile's configurations to be finished one by
+// one with no check of the tile, and so with no floors of its own.
+//
 // It returns the merged top M and the number of exact forward passes
 // paid — the cost the incremental path exists to shrink.
 func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64) {
@@ -596,6 +616,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		workers = int(size)
 	}
 	chunk := (size + int64(workers) - 1) / int64(workers)
+	window := m.screenWindow()
 
 	// The heap only ever ranks exact scores, so the exact pass always
 	// runs the float64 reference. Screening runs through the int16
@@ -675,8 +696,8 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 				// order, so one cursor skips the already-scored seeds in
 				// O(1) per index.
 				nextSeed := sort.Search(len(seedIdx), func(i int) bool { return seedIdx[i] >= u.lo })
-				for blockLo := u.lo; blockLo < u.hi; blockLo += int64(exact.block) {
-					blockHi := min(blockLo+int64(exact.block), u.hi)
+				for blockLo := u.lo; blockLo < u.hi; blockLo += window {
+					blockHi := min(blockLo+window, u.hi)
 					if prune && best.full() {
 						// Screening pass over the sequential block: keep only
 						// configurations whose conservative lower bound could

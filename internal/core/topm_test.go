@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -393,6 +394,86 @@ func TestTopMBestFirstUnits(t *testing.T) {
 				t.Fatalf("M=%d workers=%d: seeded result differs from the specification", M, workers)
 			}
 		}
+	}
+}
+
+// windowTestModel fits a small model (k=3, hidden 8) over a space whose
+// last parameter is last, behind two 8-level parameters and the given
+// boolean parameters: a space shaped to set the screen's window.
+func windowTestModel(t testing.TB, bools int, last tuning.Param) *Model {
+	t.Helper()
+	params := []tuning.Param{tuning.Pow2Param("x", 1, 128), tuning.Pow2Param("y", 1, 128)}
+	for b := 0; b < bools; b++ {
+		params = append(params, tuning.BoolParam(fmt.Sprintf("b%d", b)))
+	}
+	space := tuning.NewSpace("windows", append(params, last)...)
+	rng := rand.New(rand.NewSource(97))
+	samples := make([]Sample, 0, 300)
+	for _, cfg := range space.Sample(rng, 300) {
+		lx := math.Log2(float64(cfg.Value("x")))
+		ly := math.Log2(float64(cfg.Value("y")))
+		l := float64(last.IndexOf(cfg.Value(last.Name))) / float64(last.Arity())
+		secs := 0.5 + (lx-4)*(lx-4) + 0.3*(ly-2)*(ly-2) + (l-0.4)*(l-0.4)
+		for b := 0; b < bools; b++ {
+			if cfg.Bool(fmt.Sprintf("b%d", b)) {
+				secs *= 1 + 0.05*float64(b+1)
+			}
+		}
+		samples = append(samples, Sample{Config: cfg, Seconds: secs})
+	}
+	mc := DefaultModelConfig(97)
+	mc.Ensemble.K = 3
+	mc.Ensemble.Hidden = 8
+	mc.Ensemble.Train = ann.TrainConfig{Epochs: 60, LearningRate: 0.3, Momentum: 0.9, BatchSize: 8}
+	model, err := TrainModel(space, samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// TestTopMScreenWindows pins the screen's window choice at its edges: a
+// last parameter of 5 levels under five booleans screens in the
+// 160-configuration subtree (5 does not divide 256), and a last
+// parameter of 300 levels, wider than a prediction block, falls back to
+// predictBlock windows that cut its tiles. Both sweeps return the
+// specification's answer at workers 1–3, screen, and repeat Scored
+// exactly.
+func TestTopMScreenWindows(t *testing.T) {
+	values := make([]int, 300)
+	for i := range values {
+		values[i] = i + 1
+	}
+	for _, tc := range []struct {
+		name   string
+		bools  int
+		last   tuning.Param
+		window int64
+	}{
+		{"arity5", 5, tuning.NewParam("unroll", 1, 2, 4, 8, 16), 160},
+		{"arity300", 1, tuning.NewParam("wide", values...), predictBlock},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := windowTestModel(t, tc.bools, tc.last)
+			if got := m.screenWindow(); got != tc.window {
+				t.Fatalf("screen window %d, want %d", got, tc.window)
+			}
+			const M = 50
+			size := m.Space().Size()
+			want := bruteTopM(m, M)
+			for workers := 1; workers <= 3; workers++ {
+				got := m.topMIncremental(M, workers, nil)
+				if !samePredicted(got.Top, want) {
+					t.Fatalf("workers=%d: result differs from the specification", workers)
+				}
+				if got.Scored*2 >= size {
+					t.Errorf("workers=%d: scored %d of %d configs: the screen barely pruned", workers, got.Scored, size)
+				}
+				if again := m.topMIncremental(M, workers, nil); again.Scored != got.Scored {
+					t.Fatalf("workers=%d: Scored %d then %d on a repeated sweep", workers, got.Scored, again.Scored)
+				}
+			}
+		})
 	}
 }
 
