@@ -517,6 +517,63 @@ func BenchmarkRaycastingTopMCold(b *testing.B) {
 	b.ReportMetric(float64(exact), "exact/op")
 }
 
+// BenchmarkServePredictInt16 measures the serve path's single and
+// batched predictions on the raycasting model under the int16 engine,
+// in process (no transport, no codec): Server.Predict of one index,
+// Server.PredictBatch of 16 indices, and the 16-index PredictIndices of
+// the served view beneath both. Indices are drawn at random from the
+// whole space, as the benchmark's serve phase draws them.
+func BenchmarkServePredictInt16(b *testing.B) {
+	m := raycastingModel(b)
+	reg, err := service.OpenRegistry(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := service.ModelKey{Benchmark: "raycasting", Device: devsim.IntelI7}
+	if err := reg.Put(key, m); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := service.New(reg, 1, 2, service.WithEngine(ann.EngineInt16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idxs := m.Space().SampleIndices(rand.New(rand.NewSource(5)), 1024)
+	b.Run("predict", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			req := service.PredictRequest{Benchmark: key.Benchmark, Device: key.Device,
+				HasIndex: true, Index: idxs[i%len(idxs)]}
+			if _, err := srv.Predict(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("predict-batch-16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := (i * 16) % len(idxs)
+			req := service.PredictBatchRequest{Benchmark: key.Benchmark, Device: key.Device,
+				Indices: idxs[lo : lo+16]}
+			if _, err := srv.PredictBatch(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("indices-16", func(b *testing.B) {
+		view, err := m.WithEngine(ann.EngineInt16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scratch := view.NewBatchScratch()
+		preds := make([]float64, 0, 16)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := (i * 16) % len(idxs)
+			preds = view.PredictIndices(idxs[lo:lo+16], scratch, preds[:0])
+		}
+	})
+}
+
 // BenchmarkConvolutionTopMEngines runs the same full-space top-200 sweep
 // under each inference engine. Every view screens through the int16
 // sweeper and ranks only exact reference scores, so the work and the

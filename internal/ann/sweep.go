@@ -10,7 +10,9 @@ import (
 // serves the view's batch predictions. It bounds every configuration of
 // a dense odometer-indexed space in index order, maintaining the
 // first-layer pre-activation accumulators *incrementally* instead of
-// recomputing them per configuration.
+// recomputing them per configuration. Its level tables also serve the
+// int16 engine's predictions one configuration at a time, in any order
+// (IndexScorer).
 //
 // The space is the cross product of P positions, position p taking
 // arity_p discrete levels; index digits decode most-significant-first
@@ -77,7 +79,8 @@ import (
 // subtrees above the ceiling; it never excludes the reference value.
 //
 // A sweeper is single-goroutine state over an immutable
-// QuantizedEnsemble; each sweep worker needs its own (Fork).
+// QuantizedEnsemble; each sweep worker needs its own (Fork), and each
+// predicting goroutine its own scorer (NewScorer).
 type QuantSweeper struct {
 	q *QuantizedEnsemble
 	// bound is the bracket half-width Bounds, BoundsCeil and Floor
@@ -345,6 +348,119 @@ func (s *QuantSweeper) Fork() *QuantSweeper {
 	}
 	f.fresh, f.cur, f.floorTop = 0, -1, 0
 	return &f
+}
+
+// IndexScorer scores single configurations of a sweeper's space in any
+// order, straight from its level tables: one row sum per configuration
+// in place of the int16 engine's first-layer dot products. Score(idx) is
+// bit-identical to PredictBatchQ14 on idx's features, for the reasons
+// Bounds is (integer sums are exact, finish mirrors the batch path), so a
+// bound int16 view serves its predictions through one (see
+// core.Model.WithEngine).
+//
+// A scorer is single-goroutine state; NewScorer only reads the sweeper,
+// so any number of goroutines may each take one of a sweeper nothing
+// walks.
+type IndexScorer struct {
+	// s shares the sweeper's read-only tables and owns what finish writes:
+	// digits, terms and the deep members' activation buffers.
+	s QuantSweeper
+	// acc is the first-layer accumulator row the finish starts from; rows
+	// are the level rows of positions 0..P-2 it sums.
+	acc  []int64
+	rows [][]int64
+}
+
+// NewScorer returns a scorer over s's tables.
+func (s *QuantSweeper) NewScorer() *IndexScorer {
+	P := len(s.digits)
+	sc := &IndexScorer{
+		s: QuantSweeper{
+			q:        s.q,
+			contrib:  s.contrib,
+			base:     s.base,
+			arity:    s.arity,
+			digits:   make([]int, P),
+			size:     s.size,
+			invK:     s.invK,
+			H:        s.H,
+			deep:     s.deep,
+			terms:    make([]float64, len(s.terms)),
+			noFloors: s.noFloors,
+		},
+		acc:  make([]int64, s.H),
+		rows: make([][]int64, P-1),
+	}
+	if s.deep {
+		sc.s.actA = make([]int16, s.q.maxWidth)
+		sc.s.actB = make([]int16, s.q.maxWidth)
+	}
+	return sc
+}
+
+// Score returns the raw ensemble output of the configuration at index
+// idx: decode its digits, sum base and the level rows of every position
+// but the last (sumRows), and finish against the last position's row.
+// Panics if idx is outside the space, matching EncodeIndex.
+func (sc *IndexScorer) Score(idx int64) float64 {
+	s := &sc.s
+	if idx < 0 || idx >= s.size {
+		panic("ann: scorer index outside the space")
+	}
+	rem := idx
+	for p := len(s.digits) - 1; p >= 0; p-- {
+		s.digits[p] = int(rem % s.arity[p])
+		rem /= s.arity[p]
+	}
+	H := s.H
+	acc := s.base
+	if len(sc.rows) > 0 {
+		acc = sc.acc
+		for p := range sc.rows {
+			d := s.digits[p]
+			sc.rows[p] = s.contrib[p][d*H : (d+1)*H]
+		}
+		sumRows(acc, s.base, sc.rows)
+	}
+	d := s.digits[len(s.digits)-1]
+	return s.finish(acc, s.contrib[len(s.digits)-1][d*H:(d+1)*H], s.noFloors, math.Inf(1))
+}
+
+// sumRows sets dst = base + Σ rows, element-wise. The first pass adds
+// the len(rows) mod 4 leading rows to base; every later pass adds four
+// rows at once, so each element is loaded and stored once per four rows,
+// and no loop over the rows runs inside the loop over the elements.
+// Reslicing every row to len(dst) lets the compiler drop the loops'
+// bounds checks.
+func sumRows(dst, base []int64, rows [][]int64) {
+	n := len(dst)
+	base = base[:n]
+	k := len(rows) % 4
+	switch k {
+	case 0:
+		copy(dst, base)
+	case 1:
+		a := rows[0][:n]
+		for j := range dst {
+			dst[j] = base[j] + a[j]
+		}
+	case 2:
+		a, b := rows[0][:n], rows[1][:n]
+		for j := range dst {
+			dst[j] = base[j] + a[j] + b[j]
+		}
+	case 3:
+		a, b, c := rows[0][:n], rows[1][:n], rows[2][:n]
+		for j := range dst {
+			dst[j] = base[j] + a[j] + b[j] + c[j]
+		}
+	}
+	for rows = rows[k:]; len(rows) > 0; rows = rows[4:] {
+		a, b, c, d := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+		for j := range dst {
+			dst[j] += a[j] + b[j] + c[j] + d[j]
+		}
+	}
 }
 
 // newFloorStack allocates a floor stack for P positions and K members:

@@ -346,6 +346,104 @@ func TestSweeperZeroAlloc(t *testing.T) {
 	}
 }
 
+// splitSpace is a space of the first positions inputs of an input width
+// (arities cycling through 3, 2 and 4), with the rest as its fixed tail.
+func splitSpace(rng *rand.Rand, dim, positions int) sweepSpace {
+	draw := func() int16 { return QuantizeQ14(QuantInputLo + rng.Float64()*(QuantInputHi-QuantInputLo)) }
+	arities := []int{3, 2, 4}
+	sp := sweepSpace{size: 1}
+	for p := 0; p < positions; p++ {
+		lv := make([]int16, arities[p%len(arities)])
+		for v := range lv {
+			lv[v] = draw()
+		}
+		sp.levels = append(sp.levels, lv)
+		sp.size *= int64(len(lv))
+	}
+	for t := positions; t < dim; t++ {
+		sp.tail = append(sp.tail, draw())
+	}
+	return sp
+}
+
+// TestIndexScorerMatchesBatch pins the scorer's contract: over every
+// conformance topology, on the sweeper tests' space, on a one-position
+// space with a tail and on a space of every input, Score returns exactly
+// PredictBatchQ14 of the index's features — for every index in order,
+// then random jumps. Between them the spaces sum every count of rows
+// modulo four. No tolerance: a bound int16 view serves these values in
+// place of the engine's.
+func TestIndexScorerMatchesBatch(t *testing.T) {
+	for _, ec := range engineCases(t) {
+		q := quantize16(t, ec.e)
+		rng := rand.New(rand.NewSource(83))
+		for _, c := range []struct {
+			name string
+			sp   sweepSpace
+		}{
+			{"sweep-space", newSweepSpace(rng, q.InputDim())},
+			{"one-position", splitSpace(rng, q.InputDim(), 1)},
+			{"no-tail", splitSpace(rng, q.InputDim(), q.InputDim())},
+		} {
+			sp := c.sp
+			t.Run(ec.name+"/"+c.name, func(t *testing.T) {
+				sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := sw.NewScorer()
+				scratch := q.NewScratch(1)
+				want := make([]float64, 1)
+				var qxs []int16
+				check := func(idx int64) {
+					qxs = sp.encodeIndex(idx, qxs[:0])
+					q.PredictBatchQ14(qxs, 1, scratch, want)
+					if got := sc.Score(idx); math.Float64bits(got) != math.Float64bits(want[0]) {
+						t.Fatalf("index %d: Score %v != PredictBatchQ14 %v", idx, got, want[0])
+					}
+				}
+				for idx := int64(0); idx < sp.size; idx++ {
+					check(idx)
+				}
+				for range 200 {
+					check(rng.Int63n(sp.size))
+				}
+			})
+		}
+	}
+}
+
+// TestIndexScorerZeroAlloc pins that Score allocates nothing, on scorers
+// of a fresh sweeper and of one that has swept: a served prediction pays
+// it once per configuration.
+func TestIndexScorerZeroAlloc(t *testing.T) {
+	for _, ec := range engineCases(t) {
+		q := quantize16(t, ec.e)
+		rng := rand.New(rand.NewSource(5))
+		sp := newSweepSpace(rng, q.InputDim())
+		sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := sw.NewScorer()
+		sw.Bounds(0, int(sp.size), make([]float64, sp.size), make([]float64, sp.size))
+		swept := sw.NewScorer()
+		for _, c := range []struct {
+			name string
+			sc   *IndexScorer
+		}{{"fresh", fresh}, {"swept", swept}} {
+			pass := func() {
+				for idx := sp.size - 1; idx >= 0; idx -= 3 {
+					c.sc.Score(idx)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+				t.Errorf("%s/%s %s: Score allocated %.1f times per pass", ec.name, q.Name(), c.name, allocs)
+			}
+		}
+	}
+}
+
 // TestSweeperRejects pins NewIndexSweeper's validation: dimension
 // mismatches and degenerate spaces fail loudly at construction instead
 // of silently mis-indexing weights mid-sweep.

@@ -235,3 +235,74 @@ func FuzzBoundsCeil(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIndexScorer checks the scorer's contract (see
+// TestIndexScorerMatchesBatch) on FuzzSweepBound's kind of random
+// ensembles: 1–4 paper-topology or single-layer linear members with
+// weights up to mag, whose accumulators reach far past the sigmoid grid
+// and whose terms cancel. Every index of a random space with a random
+// tail, in order and then jumping, must score exactly PredictBatchQ14 of
+// its features.
+func FuzzIndexScorer(f *testing.F) {
+	f.Add(int64(1), 1.0, uint8(0x37))
+	f.Add(int64(2), 32000.0, uint8(0x7b))
+	f.Add(int64(3), 40.0, uint8(0x7f))
+	f.Add(int64(4), 1e-5, uint8(0x6e))
+	f.Add(int64(5), 7.0, uint8(0xe3))
+	f.Fuzz(func(t *testing.T, seed int64, mag float64, shape uint8) {
+		if !(mag > 0 && mag <= 32767) {
+			t.Skip("weight magnitude outside what the int16 quantiser accepts")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		in := 1 + int(shape&3)
+		hidden := 1 + int(shape>>2&7)
+		sizes, acts := []int{in, hidden, 1}, []Activation{Sigmoid, Linear}
+		if shape&0x80 != 0 {
+			sizes, acts = []int{in, 1}, []Activation{Linear}
+		}
+		nets := make([]*Network, 1+int(shape>>5&3))
+		for i := range nets {
+			n := MustNew(rng, sizes, acts...)
+			for _, w := range n.weights {
+				for j := range w {
+					w[j] = mag * (2*rng.Float64() - 1)
+					if rng.Intn(8) == 0 {
+						w[j] = math.Copysign(mag, w[j])
+					}
+				}
+			}
+			nets[i] = n
+		}
+		e := &Ensemble{nets: nets}
+		q, err := QuantizeEnsemble(e)
+		if err != nil {
+			t.Skip(err)
+		}
+		tailLen := rng.Intn(in)
+		levels, tail := floatSweepLevels(rng, in-tailLen, tailLen)
+		sp := sweepSpace{tail: quantizeQ14All(tail), size: 1}
+		for _, lv := range levels {
+			sp.levels = append(sp.levels, quantizeQ14All(lv))
+			sp.size *= int64(len(lv))
+		}
+		sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := sw.NewScorer()
+		scratch := q.NewScratch(1)
+		want := make([]float64, 1)
+		var qxs []int16
+		for k := int64(0); k < 2*sp.size; k++ {
+			idx := k
+			if k >= sp.size {
+				idx = rng.Int63n(sp.size)
+			}
+			qxs = sp.encodeIndex(idx, qxs[:0])
+			q.PredictBatchQ14(qxs, 1, scratch, want)
+			if got := sc.Score(idx); math.Float64bits(got) != math.Float64bits(want[0]) {
+				t.Fatalf("index %d: Score %v != PredictBatchQ14 %v", idx, got, want[0])
+			}
+		}
+	})
+}

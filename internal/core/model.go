@@ -77,6 +77,10 @@ type Model struct {
 	// reference regardless. The engine drives the batch paths; top-M
 	// screening always runs through the int16 sweeper (see topMSweep).
 	engine ann.Engine
+	// levels holds a bound int16 view's level tables (see WithEngine):
+	// its batch scratches score the model's own configurations from them.
+	// nil for every other view.
+	levels *ann.QuantSweeper
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
 	persistVersion int
@@ -99,6 +103,12 @@ func (m *Model) eng() ann.Engine {
 // engine can fail: quantisation refuses topologies its error proof does
 // not cover and diverged weight magnitudes.
 //
+// A bound int16 view also builds the level tables the top-M screen
+// sweeps (ann.QuantSweeper) once, for its own space and device: its
+// batch paths then score each configuration of the model's space with
+// one row sum and the screen's finish (ann.IndexScorer) instead of a
+// forward pass, bit-identical to the int16 engine's batch path.
+//
 // Engine semantics: batch predictions are within the engine's proven
 // error bound of the reference (bit-identical for the float64 engine).
 // TopM does not depend on the engine at all: every view screens through
@@ -111,7 +121,25 @@ func (m *Model) WithEngine(name string) (*Model, error) {
 	}
 	view := *m
 	view.engine = eng
+	view.levels = view.levelTables()
 	return &view, nil
+}
+
+// levelTables builds the level tables of a bound int16 view over its
+// space and quantised tail, nil for any other view or when the sweeper
+// rejects the layout (the batch paths then run the engine's forward
+// pass).
+func (m *Model) levelTables() *ann.QuantSweeper {
+	q, ok := m.engine.(*ann.QuantizedEnsemble)
+	if !ok || !m.Bound() {
+		return nil
+	}
+	tail := m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
+	s, err := q.NewIndexSweeper(m.schema.Q14Levels(), tail)
+	if err != nil {
+		return nil
+	}
+	return s
 }
 
 // int16Engine returns the view's engine when it already is the int16
@@ -245,6 +273,7 @@ func (m *Model) WithDevice(device []float64) (*Model, error) {
 	}
 	bound := *m
 	bound.tail = append([]float64(nil), device...)
+	bound.levels = bound.levelTables()
 	return &bound, nil
 }
 
@@ -287,11 +316,16 @@ const predictBlock = 256
 
 // BatchScratch carries the reusable buffers of blocked batch prediction:
 // an encoded feature matrix, the engine's batch buffers and a raw output
-// block. A scratch is pinned to the engine it was built for. Like
-// PredictScratch it is single-goroutine state.
+// block. A scratch is pinned to the view it was built for: its engine
+// and its bound device. Like PredictScratch it is single-goroutine state.
 type BatchScratch struct {
-	eng ann.EngineScratch // selected engine's buffers
-	e   ann.Engine        // the engine the scratch belongs to
+	// score, set on a scratch of a view with level tables (WithEngine),
+	// scores configurations of the model's own space one by one. The
+	// block buffers below are then only allocated by the first batch that
+	// needs the engine's forward pass.
+	score *ann.IndexScorer
+	eng   ann.EngineScratch // selected engine's buffers
+	e     ann.Engine        // the engine the scratch belongs to
 	// Fixed-point fast path, set when e is a quantised (Q14-input)
 	// engine — int16 or int8: features are encoded straight into Q14 via
 	// the precomputed tables, skipping the float encode and the
@@ -304,10 +338,35 @@ type BatchScratch struct {
 	block int
 }
 
-// NewBatchScratch allocates blocked batch-prediction buffers for the
-// model's selected engine.
+// NewBatchScratch allocates batch-prediction buffers for the model's
+// selected engine. On a view with level tables (a bound int16 view, see
+// WithEngine) it holds a scorer over them instead of block buffers.
 func (m *Model) NewBatchScratch() *BatchScratch {
+	if m.levels != nil {
+		return &BatchScratch{score: m.levels.NewScorer(), e: m.engine}
+	}
 	return m.newBatchScratchFor(m.eng())
+}
+
+// needBlocks gives a scorer scratch its block buffers the first time a
+// batch has to run the engine's forward pass.
+func (s *BatchScratch) needBlocks(m *Model) {
+	if s.block == 0 {
+		score := s.score
+		*s = *m.newBatchScratchFor(s.e)
+		s.score = score
+	}
+}
+
+// ownsAll reports whether every configuration belongs to the model's
+// space, so that its index addresses the model's level tables.
+func (m *Model) ownsAll(cfgs []tuning.Config) bool {
+	for _, cfg := range cfgs {
+		if cfg.Space() != m.space {
+			return false
+		}
+	}
+	return true
 }
 
 // newBatchScratchFor allocates a scratch pinned to the given engine; the
@@ -334,8 +393,18 @@ func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
 // (in cfgs order, seconds) to dst. Under the float64 reference engine,
 // predictions are bit-identical to calling Predict per configuration;
 // under any other engine they are within the engine's proven error bound
-// of that (on the raw output, before the log/scale inversion).
+// of that (on the raw output, before the log/scale inversion). A scorer
+// scratch scores a batch from the level tables when every configuration
+// is of the model's space, and otherwise runs the engine in blocks; both
+// give the same values.
 func (m *Model) PredictBatchWith(cfgs []tuning.Config, s *BatchScratch, dst []float64) []float64 {
+	if s.score != nil && m.ownsAll(cfgs) {
+		for _, cfg := range cfgs {
+			dst = append(dst, m.finish(s.score.Score(cfg.Index())))
+		}
+		return dst
+	}
+	s.needBlocks(m)
 	for lo := 0; lo < len(cfgs); lo += s.block {
 		hi := lo + s.block
 		if hi > len(cfgs) {
@@ -353,10 +422,18 @@ func (m *Model) PredictBatchWith(cfgs []tuning.Config, s *BatchScratch, dst []fl
 // PredictIndices predicts the configurations at the given space indices
 // in blocks through s, appending the times to dst. It encodes straight
 // from the dense indices (tuning.Encoder.EncodeIndex — Q14 tables for
-// the int16 engine), so the sweep never materialises a Config: the
-// allocation-free primitive behind TopM. Under the reference engine,
-// predictions are bit-identical to Predict(space.At(idx)).
+// the quantised engines), so the sweep never materialises a Config: the
+// allocation-free primitive behind TopM. A scorer scratch skips the
+// encode too and scores each index from the level tables. Under the
+// reference engine, predictions are bit-identical to
+// Predict(space.At(idx)).
 func (m *Model) PredictIndices(idxs []int64, s *BatchScratch, dst []float64) []float64 {
+	if s.score != nil {
+		for _, idx := range idxs {
+			dst = append(dst, m.finish(s.score.Score(idx)))
+		}
+		return dst
+	}
 	for lo := 0; lo < len(idxs); lo += s.block {
 		hi := lo + s.block
 		if hi > len(idxs) {

@@ -482,14 +482,15 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 	return resolvedModel{model: st.model, key: key, via: resolutionPortable, state: st}, nil
 }
 
-// predictThrough predicts cfgs through the resolved model — pooled
-// through the slot's serve state for registry-backed resolutions, a
-// throwaway scratch for ephemeral ones.
-func (s *Server) predictThrough(rm resolvedModel, cfgs []tuning.Config, dst []float64) []float64 {
+// predictThrough predicts the configurations at idxs (indices of the
+// resolved model's space) through the resolved model — pooled through
+// the slot's serve state for registry-backed resolutions, a throwaway
+// scratch for ephemeral ones.
+func (s *Server) predictThrough(rm resolvedModel, idxs []int64, dst []float64) []float64 {
 	if rm.state == nil {
-		return rm.model.PredictBatchWith(cfgs, rm.model.NewBatchScratch(), dst)
+		return rm.model.PredictIndices(idxs, rm.model.NewBatchScratch(), dst)
 	}
-	return rm.state.predictBatch(cfgs, dst)
+	return rm.state.predictIndices(idxs, dst)
 }
 
 // topMThrough answers a top-M query through the resolved model;
@@ -527,6 +528,7 @@ func (s *Server) Predict(req *PredictRequest) (*PredictResponse, error) {
 	}
 	space := rm.model.Space()
 	var cfg tuning.Config
+	var idx int64
 	switch {
 	case req.HasIndex && len(req.Config) > 0:
 		return nil, errf(errKindInvalid, "pass exactly one of index or config")
@@ -534,22 +536,24 @@ func (s *Server) Predict(req *PredictRequest) (*PredictResponse, error) {
 		if req.Index < 0 || req.Index >= space.Size() {
 			return nil, errf(errKindInvalid, "index %d out of range [0, %d)", req.Index, space.Size())
 		}
-		cfg = space.At(req.Index)
+		idx = req.Index
+		cfg = space.At(idx)
 	case len(req.Config) > 0:
 		var err error
 		cfg, err = space.FromMap(req.Config)
 		if err != nil {
 			return nil, errf(errKindInvalid, "%v", err)
 		}
+		idx = cfg.Index()
 	default:
 		return nil, errf(errKindInvalid, "pass index=N or one c.<param>=<value> per tuning parameter")
 	}
-	secs := s.predictThrough(rm, []tuning.Config{cfg}, nil)[0]
+	secs := s.predictThrough(rm, []int64{idx}, nil)[0]
 	return &PredictResponse{
 		Benchmark:  rm.key.Benchmark,
 		Device:     rm.key.Device,
 		Resolution: rm.via,
-		Prediction: Prediction{Index: cfg.Index(), Config: cfg.Map(), Seconds: secs},
+		Prediction: Prediction{Index: idx, Config: cfg.Map(), Seconds: secs},
 	}, nil
 }
 
@@ -566,12 +570,19 @@ func (s *Server) PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, 
 		return nil, rerr
 	}
 	space := rm.model.Space()
-	cfgs := make([]tuning.Config, 0, len(req.Indices)+len(req.Configs))
-	for _, idx := range req.Indices {
+	n := len(req.Indices) + len(req.Configs)
+	cfgs := make([]tuning.Config, 0, n)
+	// A request carries indices or configs, never both: index requests
+	// predict their own indices, config requests the configs' indices.
+	idxs := req.Indices
+	for _, idx := range idxs {
 		if idx < 0 || idx >= space.Size() {
 			return nil, errf(errKindInvalid, "index %d out of range [0, %d)", idx, space.Size())
 		}
 		cfgs = append(cfgs, space.At(idx))
+	}
+	if len(req.Configs) > 0 {
+		idxs = make([]int64, 0, n)
 	}
 	for i, values := range req.Configs {
 		cfg, err := space.FromMap(values)
@@ -579,11 +590,12 @@ func (s *Server) PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, 
 			return nil, errf(errKindInvalid, "config %d: %v", i, err)
 		}
 		cfgs = append(cfgs, cfg)
+		idxs = append(idxs, cfg.Index())
 	}
-	secs := s.predictThrough(rm, cfgs, make([]float64, 0, len(cfgs)))
-	out := make([]Prediction, len(cfgs))
+	secs := s.predictThrough(rm, idxs, make([]float64, 0, n))
+	out := make([]Prediction, n)
 	for i, cfg := range cfgs {
-		out[i] = Prediction{Index: cfg.Index(), Config: cfg.Map(), Seconds: secs[i]}
+		out[i] = Prediction{Index: idxs[i], Config: cfg.Map(), Seconds: secs[i]}
 	}
 	return &PredictBatchResponse{
 		Benchmark: rm.key.Benchmark, Device: rm.key.Device, Resolution: rm.via, Predictions: out,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/core"
-	"repro/internal/tuning"
 )
 
 // serveState is the read path's state for one servable model: the
@@ -123,11 +122,12 @@ func (s *Server) retained(key ModelKey, M int) *core.TopMResult {
 	return s.prevTop[key][M]
 }
 
-// predictBatch predicts cfgs through a pooled scratch, appending to dst.
-func (st *serveState) predictBatch(cfgs []tuning.Config, dst []float64) []float64 {
+// predictIndices predicts the configurations at idxs through a pooled
+// scratch, appending to dst.
+func (st *serveState) predictIndices(idxs []int64, dst []float64) []float64 {
 	sc := st.scratches.Get().(*core.BatchScratch)
 	defer st.scratches.Put(sc)
-	return st.model.PredictBatchWith(cfgs, sc, dst)
+	return st.model.PredictIndices(idxs, sc, dst)
 }
 
 // topMCached returns st's top-M predictions, computing and memoising
