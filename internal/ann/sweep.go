@@ -336,18 +336,24 @@ func (s *QuantSweeper) Fork() *QuantSweeper {
 	for p := range f.prefix {
 		f.prefix[p] = make([]int64, s.H)
 	}
-	f.digits = make([]int, len(s.digits))
-	if s.deep {
-		f.actA = make([]int16, s.q.maxWidth)
-		f.actB = make([]int16, s.q.maxWidth)
-	}
-	f.terms = make([]float64, len(s.terms))
+	f.ownFinishBuffers()
 	if s.floorRest != nil {
 		f.floorRest, f.floorLvl = newFloorStack(len(s.digits), len(s.terms))
 		copy(f.floorRest[0], s.floorRest[0])
 	}
 	f.fresh, f.cur, f.floorTop = 0, -1, 0
 	return &f
+}
+
+// ownFinishBuffers gives a copy of a sweeper fresh buffers for what
+// finish writes: digits, terms and the deep members' activations.
+func (s *QuantSweeper) ownFinishBuffers() {
+	s.digits = make([]int, len(s.digits))
+	s.terms = make([]float64, len(s.terms))
+	if s.deep {
+		s.actA = make([]int16, s.q.maxWidth)
+		s.actB = make([]int16, s.q.maxWidth)
+	}
 }
 
 // IndexScorer scores single configurations of a sweeper's space in any
@@ -362,8 +368,10 @@ func (s *QuantSweeper) Fork() *QuantSweeper {
 // so any number of goroutines may each take one of a sweeper nothing
 // walks.
 type IndexScorer struct {
-	// s shares the sweeper's read-only tables and owns what finish writes:
-	// digits, terms and the deep members' activation buffers.
+	// s is a copy of the sweeper that shares its read-only tables and
+	// owns what finish writes (ownFinishBuffers). Score never walks, so
+	// the copy's walk state (prefix rows, floor stack) is left shared and
+	// untouched.
 	s QuantSweeper
 	// acc is the first-layer accumulator row the finish starts from; rows
 	// are the level rows of positions 0..P-2 it sums.
@@ -373,28 +381,12 @@ type IndexScorer struct {
 
 // NewScorer returns a scorer over s's tables.
 func (s *QuantSweeper) NewScorer() *IndexScorer {
-	P := len(s.digits)
 	sc := &IndexScorer{
-		s: QuantSweeper{
-			q:        s.q,
-			contrib:  s.contrib,
-			base:     s.base,
-			arity:    s.arity,
-			digits:   make([]int, P),
-			size:     s.size,
-			invK:     s.invK,
-			H:        s.H,
-			deep:     s.deep,
-			terms:    make([]float64, len(s.terms)),
-			noFloors: s.noFloors,
-		},
+		s:    *s,
 		acc:  make([]int64, s.H),
-		rows: make([][]int64, P-1),
+		rows: make([][]int64, len(s.digits)-1),
 	}
-	if s.deep {
-		sc.s.actA = make([]int16, s.q.maxWidth)
-		sc.s.actB = make([]int16, s.q.maxWidth)
-	}
+	sc.s.ownFinishBuffers()
 	return sc
 }
 

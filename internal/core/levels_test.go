@@ -91,11 +91,12 @@ func int16Views(t *testing.T) []struct {
 
 // TestInt16ViewScoresFromLevels pins that a bound int16 view serves
 // exactly the int16 engine's values from its level tables: PredictIndices
-// and PredictBatchWith over every configuration equal a from-scratch
-// PredictBatchQ14 bit for bit, for a parameter-only model, a portable
-// model bound to one device and that view re-bound to another.
-// Configurations of a second, equal Space value take the engine's block
-// path and must give the same values, through the same scratch.
+// over every configuration equals a from-scratch PredictBatchQ14 bit for
+// bit, for a parameter-only model, a portable model bound to one device
+// and that view re-bound to another. PredictBatchWith runs the engine's
+// block path through the same scratch, for configurations of the model's
+// space and of a second, equal Space value, and must give the same
+// values; PredictIndices keeps scoring from the tables afterwards.
 func TestInt16ViewScoresFromLevels(t *testing.T) {
 	for _, c := range int16Views(t) {
 		t.Run(c.name, func(t *testing.T) {

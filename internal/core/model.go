@@ -77,9 +77,9 @@ type Model struct {
 	// reference regardless. The engine drives the batch paths; top-M
 	// screening always runs through the int16 sweeper (see topMSweep).
 	engine ann.Engine
-	// levels holds a bound int16 view's level tables (see WithEngine):
-	// its batch scratches score the model's own configurations from them.
-	// nil for every other view.
+	// levels is a bound int16 view's screen (see WithEngine): its batch
+	// scratches score PredictIndices from the screen's level tables. nil
+	// for every other view.
 	levels *ann.QuantSweeper
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
@@ -103,11 +103,11 @@ func (m *Model) eng() ann.Engine {
 // engine can fail: quantisation refuses topologies its error proof does
 // not cover and diverged weight magnitudes.
 //
-// A bound int16 view also builds the level tables the top-M screen
-// sweeps (ann.QuantSweeper) once, for its own space and device: its
-// batch paths then score each configuration of the model's space with
-// one row sum and the screen's finish (ann.IndexScorer) instead of a
-// forward pass, bit-identical to the int16 engine's batch path.
+// A bound int16 view also builds the top-M screen (newScreen) once, for
+// its own space and device: PredictIndices then scores each
+// configuration from the screen's level tables with one row sum and the
+// screen's finish (ann.IndexScorer) instead of a forward pass,
+// bit-identical to the int16 engine's batch path.
 //
 // Engine semantics: batch predictions are within the engine's proven
 // error bound of the reference (bit-identical for the float64 engine).
@@ -125,21 +125,15 @@ func (m *Model) WithEngine(name string) (*Model, error) {
 	return &view, nil
 }
 
-// levelTables builds the level tables of a bound int16 view over its
-// space and quantised tail, nil for any other view or when the sweeper
-// rejects the layout (the batch paths then run the engine's forward
-// pass).
+// levelTables returns the screen whose level tables a bound int16 view
+// predicts from, nil for any other view or when the view has no screen
+// (PredictIndices then runs the engine's forward pass, with the same
+// values).
 func (m *Model) levelTables() *ann.QuantSweeper {
-	q, ok := m.engine.(*ann.QuantizedEnsemble)
-	if !ok || !m.Bound() {
+	if _, ok := m.engine.(*ann.QuantizedEnsemble); !ok || !m.Bound() {
 		return nil
 	}
-	tail := m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
-	s, err := q.NewIndexSweeper(m.schema.Q14Levels(), tail)
-	if err != nil {
-		return nil
-	}
-	return s
+	return m.newScreen()
 }
 
 // int16Engine returns the view's engine when it already is the int16
@@ -320,9 +314,8 @@ const predictBlock = 256
 // and its bound device. Like PredictScratch it is single-goroutine state.
 type BatchScratch struct {
 	// score, set on a scratch of a view with level tables (WithEngine),
-	// scores configurations of the model's own space one by one. The
-	// block buffers below are then only allocated by the first batch that
-	// needs the engine's forward pass.
+	// scores PredictIndices one configuration at a time. The block
+	// buffers below are then only allocated by the first PredictBatchWith.
 	score *ann.IndexScorer
 	eng   ann.EngineScratch // selected engine's buffers
 	e     ann.Engine        // the engine the scratch belongs to
@@ -348,25 +341,14 @@ func (m *Model) NewBatchScratch() *BatchScratch {
 	return m.newBatchScratchFor(m.eng())
 }
 
-// needBlocks gives a scorer scratch its block buffers the first time a
-// batch has to run the engine's forward pass.
+// needBlocks gives a scorer scratch its block buffers the first time
+// PredictBatchWith runs the engine's forward pass through it.
 func (s *BatchScratch) needBlocks(m *Model) {
 	if s.block == 0 {
 		score := s.score
 		*s = *m.newBatchScratchFor(s.e)
 		s.score = score
 	}
-}
-
-// ownsAll reports whether every configuration belongs to the model's
-// space, so that its index addresses the model's level tables.
-func (m *Model) ownsAll(cfgs []tuning.Config) bool {
-	for _, cfg := range cfgs {
-		if cfg.Space() != m.space {
-			return false
-		}
-	}
-	return true
 }
 
 // newBatchScratchFor allocates a scratch pinned to the given engine; the
@@ -393,17 +375,8 @@ func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
 // (in cfgs order, seconds) to dst. Under the float64 reference engine,
 // predictions are bit-identical to calling Predict per configuration;
 // under any other engine they are within the engine's proven error bound
-// of that (on the raw output, before the log/scale inversion). A scorer
-// scratch scores a batch from the level tables when every configuration
-// is of the model's space, and otherwise runs the engine in blocks; both
-// give the same values.
+// of that (on the raw output, before the log/scale inversion).
 func (m *Model) PredictBatchWith(cfgs []tuning.Config, s *BatchScratch, dst []float64) []float64 {
-	if s.score != nil && m.ownsAll(cfgs) {
-		for _, cfg := range cfgs {
-			dst = append(dst, m.finish(s.score.Score(cfg.Index())))
-		}
-		return dst
-	}
 	s.needBlocks(m)
 	for lo := 0; lo < len(cfgs); lo += s.block {
 		hi := lo + s.block
