@@ -12,12 +12,16 @@ package mltune_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -525,18 +529,7 @@ func BenchmarkRaycastingTopMCold(b *testing.B) {
 // whole space, as the benchmark's serve phase draws them.
 func BenchmarkServePredictInt16(b *testing.B) {
 	m := raycastingModel(b)
-	reg, err := service.OpenRegistry(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := service.ModelKey{Benchmark: "raycasting", Device: devsim.IntelI7}
-	if err := reg.Put(key, m); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := service.New(reg, 1, 2, service.WithEngine(ann.EngineInt16))
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv, key := raycastingInt16Server(b)
 	idxs := m.Space().SampleIndices(rand.New(rand.NewSource(5)), 1024)
 	b.Run("predict", func(b *testing.B) {
 		b.ReportAllocs()
@@ -570,6 +563,78 @@ func BenchmarkServePredictInt16(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := (i * 16) % len(idxs)
 			preds = view.PredictIndices(idxs[lo:lo+16], scratch, preds[:0])
+		}
+	})
+}
+
+// raycastingInt16Server builds an mltuned server serving the raycasting
+// model under the int16 engine, and returns it with the model's key.
+func raycastingInt16Server(b *testing.B) (*service.Server, service.ModelKey) {
+	b.Helper()
+	reg, err := service.OpenRegistry(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := service.ModelKey{Benchmark: "raycasting", Device: devsim.IntelI7}
+	if err := reg.Put(key, raycastingModel(b)); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := service.New(reg, 1, 2, service.WithEngine(ann.EngineInt16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return srv, key
+}
+
+// BenchmarkHTTPPredictHandler measures the HTTP layer over the serve
+// path of BenchmarkServePredictInt16: the in-process ServeHTTP of
+// GET /v1/predict of one index, POST /v1/predict of 16 indices and a
+// cached GET /v1/topm?m=10, through httptest, so the figures are the
+// API call plus query or body parsing, routing, middleware and the
+// response encoding, without a socket. The difference from
+// BenchmarkServePredictInt16's figures is the handler's own cost.
+func BenchmarkHTTPPredictHandler(b *testing.B) {
+	m := raycastingModel(b)
+	srv, key := raycastingInt16Server(b)
+	idxs := m.Space().SampleIndices(rand.New(rand.NewSource(5)), 1024)
+	query := "benchmark=raycasting&device=" + url.QueryEscape(key.Device)
+	serve := func(b *testing.B, r *http.Request) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: status %d: %s", r.Method, r.URL, rec.Code, rec.Body)
+		}
+	}
+	b.Run("predict", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			idx := strconv.FormatInt(idxs[i%len(idxs)], 10)
+			serve(b, httptest.NewRequest("GET", "/v1/predict?"+query+"&index="+idx, nil))
+		}
+	})
+	b.Run("predict-batch-16", func(b *testing.B) {
+		bodies := make([][]byte, len(idxs)/16)
+		for j := range bodies {
+			body, err := json.Marshal(map[string]any{"benchmark": key.Benchmark, "device": key.Device,
+				"indices": idxs[j*16 : j*16+16]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[j] = body
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(b, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(bodies[i%len(bodies)])))
+		}
+	})
+	b.Run("topm-10", func(b *testing.B) {
+		path := "/v1/topm?" + query + "&m=10"
+		serve(b, httptest.NewRequest("GET", path, nil))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(b, httptest.NewRequest("GET", path, nil))
 		}
 	})
 }

@@ -144,8 +144,10 @@ func TestInt16ViewOtherEnginesKeepBlocks(t *testing.T) {
 }
 
 // TestInt16ViewConcurrentScratches shares each view among 8 goroutines,
-// each with its own scratch, predicting random indices: the level tables
-// are read-only, and every value stays the engine's (run under -race).
+// each with its own scratch, predicting random indices, while 4 more
+// sweep its top 10: the level tables are read-only, each sweep screens
+// through its own fork of them, and every value stays the engine's and
+// every top-M the brute-force one (run under -race).
 func TestInt16ViewConcurrentScratches(t *testing.T) {
 	for _, c := range int16Views(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -156,8 +158,21 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 				idxs[i] = int64(i)
 			}
 			want := int16Reference(t, view, idxs)
+			wantTop := bruteTopM(view, 10)
 			var wg sync.WaitGroup
-			errs := make(chan string, 8)
+			errs := make(chan string, 12)
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for round := 0; round < 3; round++ {
+						if !samePredicted(view.TopM(10), wantTop) {
+							errs <- "concurrent TopM differs from the brute-force top 10"
+							return
+						}
+					}
+				}()
+			}
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
 				go func(g int) {

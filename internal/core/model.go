@@ -78,8 +78,9 @@ type Model struct {
 	// screening always runs through the int16 sweeper (see topMSweep).
 	engine ann.Engine
 	// levels is a bound int16 view's screen (see WithEngine): its batch
-	// scratches score PredictIndices from the screen's level tables. nil
-	// for every other view.
+	// scratches score PredictIndices from the screen's level tables, and
+	// each top-M sweep screens through a fork of it. nil for every other
+	// view.
 	levels *ann.QuantSweeper
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
@@ -673,8 +674,15 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 	// sweeper whatever the view's engine; its bracket contains the
 	// reference prediction, so it cannot change the result set — only
 	// how much of the space pays an exact score. Without a screen every
-	// configuration is scored exactly.
-	screen := m.newScreen()
+	// configuration is scored exactly. A bound int16 view already holds
+	// its screen (levels); the sweep works on a fork of it, so that
+	// concurrent sweeps of one view share no sweeper state.
+	screen := m.levels
+	if screen != nil {
+		screen = screen.Fork()
+	} else {
+		screen = m.newScreen()
+	}
 	prune := screen != nil && m.canPrune()
 	var units []sweepUnit
 	if prune {

@@ -187,6 +187,7 @@ type PredictResponse struct {
 	Device     string `json:"device"`
 	Resolution string `json:"resolution"`
 	Prediction
+	keys *configKeys // renders Config over HTTP; nil sorts the map's own keys
 }
 
 // PredictBatchRequest addresses a batch: exactly one of Indices (dense
@@ -206,6 +207,7 @@ type PredictBatchResponse struct {
 	Device      string       `json:"device"`
 	Resolution  string       `json:"resolution"`
 	Predictions []Prediction `json:"predictions"`
+	keys        *configKeys  // renders each Config over HTTP; nil sorts the map's own keys
 }
 
 // TopMRequest asks for the M best-predicted configurations of one
@@ -224,6 +226,7 @@ type TopMResponse struct {
 	Resolution string       `json:"resolution"`
 	M          int          `json:"m"`
 	Top        []Prediction `json:"top"`
+	keys       *configKeys  // renders each Config over HTTP; nil sorts the map's own keys
 }
 
 // ModelsRequest selects the model listing: slots whose generation
@@ -482,6 +485,15 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 	return resolvedModel{model: st.model, key: key, via: resolutionPortable, state: st}, nil
 }
 
+// configKeys returns the rendered config keys of the resolved model's
+// space: its serve state's, nil for an ephemeral resolution.
+func (rm resolvedModel) configKeys() *configKeys {
+	if rm.state == nil {
+		return nil
+	}
+	return rm.state.keys
+}
+
 // predictThrough predicts the configurations at idxs (indices of the
 // resolved model's space) through the resolved model — pooled through
 // the slot's serve state for registry-backed resolutions, a throwaway
@@ -554,6 +566,7 @@ func (s *Server) Predict(req *PredictRequest) (*PredictResponse, error) {
 		Device:     rm.key.Device,
 		Resolution: rm.via,
 		Prediction: Prediction{Index: idx, Config: cfg.Map(), Seconds: secs},
+		keys:       rm.configKeys(),
 	}, nil
 }
 
@@ -599,6 +612,7 @@ func (s *Server) PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, 
 	}
 	return &PredictBatchResponse{
 		Benchmark: rm.key.Benchmark, Device: rm.key.Device, Resolution: rm.via, Predictions: out,
+		keys: rm.configKeys(),
 	}, nil
 }
 
@@ -620,7 +634,7 @@ func (s *Server) TopM(req *TopMRequest) (*TopMResponse, error) {
 	}
 	return &TopMResponse{
 		Benchmark: rm.key.Benchmark, Device: rm.key.Device, Resolution: rm.via,
-		M: M, Top: s.topMThrough(rm, M),
+		M: M, Top: s.topMThrough(rm, M), keys: rm.configKeys(),
 	}, nil
 }
 

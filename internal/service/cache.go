@@ -9,8 +9,10 @@ import (
 
 // serveState is the read path's state for one servable model: the
 // engine view, a pool of batch prediction scratches (so /v1/predict
-// allocates nothing steady-state) and the memoised top-M sweeps (so
-// repeated /v1/topm hits under load stop paying a full-space sweep).
+// allocates nothing steady-state), its space's rendered config keys (so
+// HTTP bodies skip sorting and escaping each config map) and the
+// memoised top-M sweeps (so repeated /v1/topm hits under load stop
+// paying a full-space sweep).
 //
 // A registry slot owns the serve state of its model, and a portable
 // slot owns one per bound device besides (see regEntry). Put, Install
@@ -23,6 +25,7 @@ type serveState struct {
 	key       ModelKey
 	model     *core.Model
 	scratches sync.Pool // of *core.BatchScratch
+	keys      *configKeys
 
 	mu   sync.Mutex
 	topM map[int][]Prediction
@@ -48,7 +51,7 @@ func (s *Server) newServeState(key ModelKey, m *core.Model) *serveState {
 			s.metrics.cache.engineFallback()
 		}
 	}
-	st := &serveState{key: key, model: view, topM: make(map[int][]Prediction)}
+	st := &serveState{key: key, model: view, keys: newConfigKeys(view.Space()), topM: make(map[int][]Prediction)}
 	st.scratches.New = func() any { return view.NewBatchScratch() }
 	return st
 }

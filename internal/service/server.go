@@ -480,15 +480,7 @@ func (s *Server) swapModel(key ModelKey, install func() error) error {
 	return nil
 }
 
-// --- JSON helpers -----------------------------------------------------
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
+// --- JSON helpers (writeJSON is in httpjson.go) -----------------------
 
 // writeAPIError renders any error as the shared envelope: the kind's
 // HTTP status, the {"error","kind",...} body, and a Retry-After header
@@ -604,8 +596,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // descriptorFromQuery parses the optional ?descriptor= parameter: a
 // URL-escaped devsim.Descriptor JSON object describing hardware the
 // daemon has never seen, for the portable resolution path.
-func descriptorFromQuery(r *http.Request) (*devsim.Descriptor, error) {
-	v := r.URL.Query().Get("descriptor")
+func descriptorFromQuery(q url.Values) (*devsim.Descriptor, error) {
+	v := q.Get("descriptor")
 	if v == "" {
 		return nil, nil
 	}
@@ -650,7 +642,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.testHookPredict()
 	}
 	q := r.URL.Query()
-	desc, err := descriptorFromQuery(r)
+	desc, err := descriptorFromQuery(q)
 	if err != nil {
 		writeAPIError(w, errf(errKindInvalid, "%v", err))
 		return
@@ -720,7 +712,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTopM(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	desc, err := descriptorFromQuery(r)
+	desc, err := descriptorFromQuery(q)
 	if err != nil {
 		writeAPIError(w, errf(errKindInvalid, "%v", err))
 		return

@@ -130,7 +130,7 @@ for want in \
     echo "$metrics" | grep -E "$want" >/dev/null \
         || { echo "/metrics is missing or zero: $want" >&2; exit 1; }
 done
-curl -fs "$BASE/readyz" | grep -q '"ready": true' \
+curl -fs "$BASE/readyz" | grep -Eq '"ready": ?true' \
     || { echo "/readyz not ready on a healthy daemon" >&2; exit 1; }
 # Capture before grepping, and grep without -q: on a body larger than
 # the pipe buffer, grep -q exiting at the first match breaks the pipe
@@ -141,7 +141,7 @@ echo "$stats" | grep '"telemetry"' >/dev/null \
 
 echo "== sample store and registry report the artifacts"
 curl -fs "$BASE/v1/samples?benchmark=convolution&device=$DEVICE_Q" | grep -q '"records"'
-curl -fs "$BASE/v1/models" | grep -q '"benchmark": "convolution"'
+curl -fs "$BASE/v1/models" | grep -Eq '"benchmark": ?"convolution"'
 curl -fs "$BASE/v1/models" | grep -q '"resolution_order"'
 
 echo "== portable path: second device's samples, pooled @* training"
@@ -153,13 +153,13 @@ curl -fs "$BASE/v1/samples?benchmark=convolution" | grep -q "$DEVICE2" \
     || { echo "benchmark-only sample listing misses $DEVICE2" >&2; exit 1; }
 "$BIN/mltune" train -daemon "$BASE" -bench convolution -device '*' \
     -ensemble-k 3 -hidden 8 -epochs 150 -verify -verify-device "$DEVICE"
-curl -fs "$BASE/v1/models" | grep -q '"portable": true' \
+curl -fs "$BASE/v1/models" | grep -Eq '"portable": ?true' \
     || { echo "registry does not list the portable model" >&2; exit 1; }
 
 echo "== portable predict for a device that never trained (catalog name)"
 out="$(curl -fs "$BASE/v1/predict?benchmark=convolution&device=$DEVICE3_Q&index=7")"
 echo "$out"
-echo "$out" | grep -q '"resolution": "portable"' \
+echo "$out" | grep -Eq '"resolution": ?"portable"' \
     || { echo "expected portable resolution for $DEVICE3_Q" >&2; exit 1; }
 
 echo "== portable predict for unseen hardware (inline descriptor)"
@@ -167,7 +167,7 @@ DESC='{"name":"Hypothetical GPU X","kind":"GPU","compute_units":24,"simd_width":
 DESC_Q="$(python3 -c 'import sys,urllib.parse; print(urllib.parse.quote(sys.argv[1]))' "$DESC")"
 out="$(curl -fs "$BASE/v1/predict?benchmark=convolution&index=7&descriptor=$DESC_Q")"
 echo "$out"
-echo "$out" | grep -q '"resolution": "portable"' \
+echo "$out" | grep -Eq '"resolution": ?"portable"' \
     || { echo "inline-descriptor predict did not resolve portable" >&2; exit 1; }
 echo "$out" | grep -q '"seconds"' || { echo "inline prediction missing seconds" >&2; exit 1; }
 
@@ -183,7 +183,7 @@ REPLICA_PID=$!
 # /readyz gates on the first successful sync, so readiness here proves
 # the replica has already pulled the train node's models.
 for i in $(seq 1 50); do
-    curl -fs "$BASE2/readyz" 2>/dev/null | grep -q '"ready": true' && break
+    curl -fs "$BASE2/readyz" 2>/dev/null | grep -Eq '"ready": ?true' && break
     [ "$i" = 50 ] && { echo "replica never became ready (first sync)" >&2; exit 1; }
     sleep 0.2
 done
@@ -198,14 +198,14 @@ body="$(curl -s -X POST "$BASE2/v1/train" -d '{"benchmark":"convolution","device
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE2/v1/train" \
     -d '{"benchmark":"convolution","device":"'"$DEVICE"'"}')"
 [ "$code" = 405 ] || { echo "replica POST /v1/train returned $code, want 405" >&2; exit 1; }
-echo "$body" | grep -q '"kind": "read_only"' \
+echo "$body" | grep -Eq '"kind": ?"read_only"' \
     || { echo "replica 405 missing kind read_only: $body" >&2; exit 1; }
 
 echo "== replica stats expose role, storage backend and replication state"
 stats2="$(curl -fs "$BASE2/v1/stats")"
-echo "$stats2" | grep '"role": "serve"' >/dev/null || { echo "replica stats missing role" >&2; exit 1; }
-echo "$stats2" | grep '"models": "memory"' >/dev/null || { echo "replica stats missing storage backend" >&2; exit 1; }
-echo "$stats2" | grep '"synced": true' >/dev/null || { echo "replica stats not synced" >&2; exit 1; }
+echo "$stats2" | grep -E '"role": ?"serve"' >/dev/null || { echo "replica stats missing role" >&2; exit 1; }
+echo "$stats2" | grep -E '"models": ?"memory"' >/dev/null || { echo "replica stats missing storage backend" >&2; exit 1; }
+echo "$stats2" | grep -E '"synced": ?true' >/dev/null || { echo "replica stats not synced" >&2; exit 1; }
 gen0="$(echo "$stats2" | python3 -c 'import json,sys; print(json.load(sys.stdin)["replication"]["generation"])')"
 [ "$gen0" -gt 0 ] || { echo "replica cursor is zero after sync" >&2; exit 1; }
 
@@ -260,7 +260,7 @@ SHARD0_PID=$!
 SHARD1_PID=$!
 for base in "http://$SH0_ADDR" "http://$SH1_ADDR"; do
     for i in $(seq 1 50); do
-        curl -fs "$base/readyz" 2>/dev/null | grep -q '"ready": true' && break
+        curl -fs "$base/readyz" 2>/dev/null | grep -Eq '"ready": ?true' && break
         [ "$i" = 50 ] && { echo "shard at $base never became ready" >&2; exit 1; }
         sleep 0.2
     done
@@ -270,13 +270,13 @@ echo "== shard-filtered replication: concrete keys land on one shard, portable o
 models0="$(curl -fs "http://$SH0_ADDR/v1/models")"
 models1="$(curl -fs "http://$SH1_ADDR/v1/models")"
 for m in "$models0" "$models1"; do
-    echo "$m" | grep -q '"portable": true' \
+    echo "$m" | grep -Eq '"portable": ?true' \
         || { echo "a shard is missing the portable @* model" >&2; exit 1; }
 done
 for dev in "$DEVICE" "$DEVICE2"; do
     n=0
-    echo "$models0" | grep -qF "\"device\": \"$dev\"" && n=$((n+1))
-    echo "$models1" | grep -qF "\"device\": \"$dev\"" && n=$((n+1))
+    echo "$models0" | grep -Eq "\"device\": ?\"$dev\"" && n=$((n+1))
+    echo "$models1" | grep -Eq "\"device\": ?\"$dev\"" && n=$((n+1))
     [ "$n" = 1 ] || { echo "$n shards hold $dev, want exactly 1" >&2; exit 1; }
 done
 
@@ -293,7 +293,7 @@ code="$(curl -s -o /dev/null -w '%{http_code}' "$LOSER_BASE/v1/predict?$PREDICT_
 [ "$code" = 421 ] || { echo "non-owner predict returned $code, want 421" >&2; exit 1; }
 redirect="$(curl -s "$LOSER_BASE/v1/predict?$PREDICT_Q")"
 echo "$redirect"
-echo "$redirect" | grep -q '"kind": "not_owner"' \
+echo "$redirect" | grep -Eq '"kind": ?"not_owner"' \
     || { echo "421 body missing kind not_owner" >&2; exit 1; }
 named="$(echo "$redirect" | python3 -c 'import json,sys; print(json.load(sys.stdin)["owner"]["addr"])')"
 [ "$named" = "$OWNER_BASE" ] || { echo "redirect names $named, want $OWNER_BASE" >&2; exit 1; }
