@@ -80,7 +80,7 @@ import (
 //
 // A sweeper is single-goroutine state over an immutable
 // QuantizedEnsemble; each sweep worker needs its own (Fork), and each
-// predicting goroutine its own scorer (NewScorer).
+// predicting goroutine its own scorer (ScoreTables.NewScorer).
 type QuantSweeper struct {
 	q *QuantizedEnsemble
 	// bound is the bracket half-width Bounds, BoundsCeil and Floor
@@ -364,73 +364,143 @@ func (s *QuantSweeper) ownFinishBuffers() {
 // bound int16 view serves its predictions through one (see
 // core.Model.WithEngine).
 //
-// A scorer is single-goroutine state; NewScorer only reads the sweeper,
-// so any number of goroutines may each take one of a sweeper nothing
-// walks.
+// A scorer is single-goroutine state; it only reads its ScoreTables and
+// their sweeper, so any number of goroutines may each take one of
+// tables whose sweeper nothing walks.
 type IndexScorer struct {
 	// s is a copy of the sweeper that shares its read-only tables and
 	// owns what finish writes (ownFinishBuffers). Score never walks, so
 	// the copy's walk state (prefix rows, floor stack) is left shared and
 	// untouched.
-	s QuantSweeper
+	s      QuantSweeper
+	groups []rowGroup
 	// acc is the first-layer accumulator row the finish starts from; rows
-	// are the level rows of positions 0..P-2 it sums.
+	// are the rows it sums: base first when no merged table holds it, then
+	// one row per group.
 	acc  []int64
 	rows [][]int64
 }
 
-// NewScorer returns a scorer over s's tables.
-func (s *QuantSweeper) NewScorer() *IndexScorer {
-	sc := &IndexScorer{
-		s:    *s,
-		acc:  make([]int64, s.H),
-		rows: make([][]int64, len(s.digits)-1),
+// ScoreTables are the merged level rows IndexScorers sum. Each run of
+// consecutive positions among 0..P-2 whose arity product is at most
+// maxMergedLevels becomes one group: a table with one row per
+// combination of the run's levels, each row the sum of those levels'
+// rows. A group of one position is that position's own level rows in
+// the sweeper. base is folded into the first table that merges two or
+// more positions, so a space whose runs all merge sums one row per
+// group and nothing else. The last position stays out of every group:
+// finish adds it. Integer sums are exact and order-independent, so the
+// merged sum is bit-identical to summing the level rows one by one.
+//
+// Tables are read-only once built: build them once per sweeper and
+// share them among the scorers of any number of goroutines.
+type ScoreTables struct {
+	s      *QuantSweeper
+	groups []rowGroup
+	// folded records that base is in one of the merged tables.
+	folded bool
+}
+
+// rowGroup is a run of positions summed as one row: size is the run's
+// arity product, rows[k*H:(k+1)*H] the row of the run's k-th level
+// combination (digits most-significant-first, as in the index).
+type rowGroup struct {
+	size int64
+	rows []int64
+}
+
+// maxMergedLevels caps a merged table's row count. A cap of 64 would
+// also merge pairs of 8-level positions, but such tables are several
+// times the size of the level tables they merge.
+const maxMergedLevels = 16
+
+// ScoreTables builds s's merged level rows (see ScoreTables). It only
+// reads s.
+func (s *QuantSweeper) ScoreTables() *ScoreTables {
+	H := s.H
+	t := &ScoreTables{s: s}
+	for lo := 0; lo < len(s.arity)-1; {
+		hi, size := lo+1, s.arity[lo]
+		for hi < len(s.arity)-1 && size*s.arity[hi] <= maxMergedLevels {
+			size *= s.arity[hi]
+			hi++
+		}
+		g := rowGroup{size: size, rows: s.contrib[lo]}
+		if hi-lo > 1 {
+			g.rows = make([]int64, int(size)*H)
+			for k := range size {
+				row := g.rows[int(k)*H : int(k+1)*H]
+				if !t.folded {
+					copy(row, s.base)
+				}
+				rem := k
+				for p := hi - 1; p >= lo; p-- {
+					d := rem % s.arity[p]
+					rem /= s.arity[p]
+					for j, c := range s.contrib[p][int(d)*H : int(d+1)*H] {
+						row[j] += c
+					}
+				}
+			}
+			t.folded = true
+		}
+		t.groups = append(t.groups, g)
+		lo = hi
 	}
+	return t
+}
+
+// NewScorer returns a scorer over t.
+func (t *ScoreTables) NewScorer() *IndexScorer {
+	s := t.s
+	sc := &IndexScorer{s: *s, groups: t.groups, acc: make([]int64, s.H)}
+	if !t.folded {
+		sc.rows = append(sc.rows, s.base)
+	}
+	sc.rows = append(sc.rows, make([][]int64, len(t.groups))...)
 	sc.s.ownFinishBuffers()
 	return sc
 }
 
 // Score returns the raw ensemble output of the configuration at index
-// idx: decode its digits, sum base and the level rows of every position
-// but the last (sumRows), and finish against the last position's row.
-// Panics if idx is outside the space, matching EncodeIndex.
+// idx: take each group's row from idx's digits, sum them (sumRows), and
+// finish against the last position's row. Panics if idx is outside the
+// space, matching EncodeIndex.
 func (sc *IndexScorer) Score(idx int64) float64 {
 	s := &sc.s
 	if idx < 0 || idx >= s.size {
 		panic("ann: scorer index outside the space")
 	}
-	rem := idx
-	for p := len(s.digits) - 1; p >= 0; p-- {
-		s.digits[p] = int(rem % s.arity[p])
-		rem /= s.arity[p]
-	}
 	H := s.H
-	acc := s.base
-	if len(sc.rows) > 0 {
-		acc = sc.acc
-		for p := range sc.rows {
-			d := s.digits[p]
-			sc.rows[p] = s.contrib[p][d*H : (d+1)*H]
-		}
-		sumRows(acc, s.base, sc.rows)
+	last := s.arity[len(s.arity)-1]
+	d := idx % last
+	rem := idx / last
+	rows := sc.rows[len(sc.rows)-len(sc.groups):] // after base, if not folded
+	for g := len(sc.groups) - 1; g >= 0; g-- {
+		grp := &sc.groups[g]
+		k := rem % grp.size
+		rem /= grp.size
+		rows[g] = grp.rows[k*int64(H) : (k+1)*int64(H)]
 	}
-	d := s.digits[len(s.digits)-1]
-	return s.finish(acc, s.contrib[len(s.digits)-1][d*H:(d+1)*H], s.noFloors, math.Inf(1))
+	acc := sc.rows[0]
+	if len(sc.rows) > 1 {
+		acc = sc.acc
+		sumRows(acc, sc.rows[0], sc.rows[1:])
+	}
+	return s.finish(acc, s.contrib[len(s.arity)-1][d*int64(H):(d+1)*int64(H)], s.noFloors, math.Inf(1))
 }
 
-// sumRows sets dst = base + Σ rows, element-wise. The first pass adds
-// the len(rows) mod 4 leading rows to base; every later pass adds four
-// rows at once, so each element is loaded and stored once per four rows,
-// and no loop over the rows runs inside the loop over the elements.
-// Reslicing every row to len(dst) lets the compiler drop the loops'
-// bounds checks.
+// sumRows sets dst = base + Σ rows, element-wise, for one or more rows.
+// The first pass adds the leading one to four rows to base, so that
+// every later pass adds exactly four rows at once: each element is
+// loaded and stored once per four rows, and no loop over the rows runs
+// inside the loop over the elements. Reslicing every row to len(dst)
+// lets the compiler drop the loops' bounds checks.
 func sumRows(dst, base []int64, rows [][]int64) {
 	n := len(dst)
 	base = base[:n]
-	k := len(rows) % 4
+	k := (len(rows)+3)%4 + 1
 	switch k {
-	case 0:
-		copy(dst, base)
 	case 1:
 		a := rows[0][:n]
 		for j := range dst {
@@ -445,6 +515,11 @@ func sumRows(dst, base []int64, rows [][]int64) {
 		a, b, c := rows[0][:n], rows[1][:n], rows[2][:n]
 		for j := range dst {
 			dst[j] = base[j] + a[j] + b[j] + c[j]
+		}
+	case 4:
+		a, b, c, d := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+		for j := range dst {
+			dst[j] = base[j] + a[j] + b[j] + c[j] + d[j]
 		}
 	}
 	for rows = rows[k:]; len(rows) > 0; rows = rows[4:] {

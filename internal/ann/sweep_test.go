@@ -366,25 +366,85 @@ func splitSpace(rng *rand.Rand, dim, positions int) sweepSpace {
 	return sp
 }
 
+// NewScorer returns a scorer over tables built for it alone.
+func (s *QuantSweeper) NewScorer() *IndexScorer { return s.ScoreTables().NewScorer() }
+
+// mergeArityCases are position arities that reach every way ScoreTables
+// groups positions: runs that merge, up to the cap exactly; a run whose
+// product passes the cap partway; arities above the cap; P = 1 and 2; a
+// first group of one position with base folded into a later merged
+// table; no merged table at all; and small last positions that a run
+// could absorb under the cap but must not.
+var mergeArityCases = []struct {
+	name    string
+	arities []int
+}{
+	{"merge-run", []int{2, 2, 2, 2, 3}},
+	{"merge-two-runs", []int{2, 8, 2, 8, 3}},
+	{"passes-cap-partway", []int{4, 2, 4, 3, 2}},
+	{"above-cap", []int{17, 2, 20, 2, 3}},
+	{"single-then-merged", []int{17, 2, 2, 3}},
+	{"no-merged-table", []int{17, 17, 2}},
+	{"many-rows", []int{9, 2, 9, 2, 9, 2}},
+	{"p1", []int{5}},
+	{"p2", []int{3, 4}},
+	{"p2-cap", []int{16, 2}},
+	{"small-last", []int{2, 2, 2}},
+	{"small-last-after-cap", []int{4, 4, 2}},
+}
+
+// aritySpace is a space of len(arities) positions with those arities
+// and the rest of an input width as its fixed tail; ok is false when
+// the width has fewer inputs than positions.
+func aritySpace(rng *rand.Rand, dim int, arities []int) (sp sweepSpace, ok bool) {
+	if len(arities) > dim {
+		return sweepSpace{}, false
+	}
+	draw := func() int16 { return QuantizeQ14(QuantInputLo + rng.Float64()*(QuantInputHi-QuantInputLo)) }
+	sp.size = 1
+	for _, a := range arities {
+		lv := make([]int16, a)
+		for v := range lv {
+			lv[v] = draw()
+		}
+		sp.levels = append(sp.levels, lv)
+		sp.size *= int64(a)
+	}
+	for t := len(arities); t < dim; t++ {
+		sp.tail = append(sp.tail, draw())
+	}
+	return sp, true
+}
+
 // TestIndexScorerMatchesBatch pins the scorer's contract: over every
 // conformance topology, on the sweeper tests' space, on a one-position
-// space with a tail and on a space of every input, Score returns exactly
+// space with a tail, on a space of every input and on each of
+// mergeArityCases that fits the width, Score returns exactly
 // PredictBatchQ14 of the index's features — for every index in order,
 // then random jumps. Between them the spaces sum every count of rows
-// modulo four. No tolerance: a bound int16 view serves these values in
+// modulo four, and more than four. No tolerance: a bound int16 view serves these values in
 // place of the engine's.
 func TestIndexScorerMatchesBatch(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
 		rng := rand.New(rand.NewSource(83))
-		for _, c := range []struct {
+		cases := []struct {
 			name string
 			sp   sweepSpace
 		}{
 			{"sweep-space", newSweepSpace(rng, q.InputDim())},
 			{"one-position", splitSpace(rng, q.InputDim(), 1)},
 			{"no-tail", splitSpace(rng, q.InputDim(), q.InputDim())},
-		} {
+		}
+		for _, ac := range mergeArityCases {
+			if sp, ok := aritySpace(rng, q.InputDim(), ac.arities); ok {
+				cases = append(cases, struct {
+					name string
+					sp   sweepSpace
+				}{ac.name, sp})
+			}
+		}
+		for _, c := range cases {
 			sp := c.sp
 			t.Run(ec.name+"/"+c.name, func(t *testing.T) {
 				sw, err := q.NewIndexSweeper(sp.levels, sp.tail)

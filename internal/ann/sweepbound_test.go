@@ -242,7 +242,8 @@ func FuzzBoundsCeil(f *testing.F) {
 // weights up to mag, whose accumulators reach far past the sigmoid grid
 // and whose terms cancel. Every index of a random space with a random
 // tail, in order and then jumping, must score exactly PredictBatchQ14 of
-// its features.
+// its features; so must indices of a second space whose arities are
+// drawn around ScoreTables' merge cap.
 func FuzzIndexScorer(f *testing.F) {
 	f.Add(int64(1), 1.0, uint8(0x37))
 	f.Add(int64(2), 32000.0, uint8(0x7b))
@@ -302,6 +303,33 @@ func FuzzIndexScorer(f *testing.F) {
 			q.PredictBatchQ14(qxs, 1, scratch, want)
 			if got := sc.Score(idx); math.Float64bits(got) != math.Float64bits(want[0]) {
 				t.Fatalf("index %d: Score %v != PredictBatchQ14 %v", idx, got, want[0])
+			}
+		}
+
+		// The same contract on random arities around the merge cap, so
+		// runs merge, pass the cap partway or stop at a position above it,
+		// and a small last position could be absorbed but must not be:
+		// the first indices in order, then random jumps.
+		positions := 1 + rng.Intn(in)
+		arities := make([]int, positions)
+		for p := range arities {
+			arities[p] = []int{1, 2, 3, 4, 5, 8, 16, 17}[rng.Intn(8)]
+		}
+		msp, _ := aritySpace(rng, in, arities)
+		msw, err := q.NewIndexSweeper(msp.levels, msp.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msc := msw.NewScorer()
+		for k := int64(0); k < 512; k++ {
+			idx := k
+			if k >= 256 || idx >= msp.size {
+				idx = rng.Int63n(msp.size)
+			}
+			qxs = msp.encodeIndex(idx, qxs[:0])
+			q.PredictBatchQ14(qxs, 1, scratch, want)
+			if got := msc.Score(idx); math.Float64bits(got) != math.Float64bits(want[0]) {
+				t.Fatalf("arities %v, index %d: Score %v != PredictBatchQ14 %v", arities, idx, got, want[0])
 			}
 		}
 	})

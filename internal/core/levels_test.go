@@ -147,11 +147,18 @@ func TestInt16ViewOtherEnginesKeepBlocks(t *testing.T) {
 // each with its own scratch, predicting random indices, while 4 more
 // sweep its top 10: the level tables are read-only, each sweep screens
 // through its own fork of them, and every value stays the engine's and
-// every top-M the brute-force one (run under -race).
+// every top-M the brute-force one (run under -race). The merged rows
+// are built once per view: not by a top-M sweep, once by the scratches
+// the goroutines create, and anew for views derived by WithDevice or
+// WithEngine, which never share their parent's build.
 func TestInt16ViewConcurrentScratches(t *testing.T) {
 	for _, c := range int16Views(t) {
 		t.Run(c.name, func(t *testing.T) {
 			view := c.view
+			view.TopM(3)
+			if view.rows == nil || view.rows.tables != nil {
+				t.Fatal("a top-M sweep built the view's merged rows")
+			}
 			size := view.Space().Size()
 			idxs := make([]int64, size)
 			for i := range idxs {
@@ -161,6 +168,7 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 			wantTop := bruteTopM(view, 10)
 			var wg sync.WaitGroup
 			errs := make(chan string, 12)
+			built := make(chan *ann.ScoreTables, 8)
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
 				go func() {
@@ -179,6 +187,7 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(g)))
 					s := view.NewBatchScratch()
+					built <- view.rows.tables
 					batch := make([]int64, 16)
 					var got []float64
 					for round := 0; round < 50; round++ {
@@ -199,6 +208,35 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 			close(errs)
 			for e := range errs {
 				t.Fatal(e)
+			}
+			close(built)
+			shared := view.rows.tables
+			for tables := range built {
+				if tables == nil || tables != shared {
+					t.Fatal("the view's scratches did not share one build of its merged rows")
+				}
+			}
+
+			derived := map[string]func() (*Model, error){
+				"WithEngine": func() (*Model, error) { return view.WithEngine(ann.EngineInt16) },
+			}
+			if view.Portable() {
+				dev := devsim.MustLookup(devsim.AMD7970).Descriptor()
+				derived["WithDevice"] = func() (*Model, error) { return view.WithDevice(tuning.DeviceVector(&dev, nil)) }
+			}
+			for name, derive := range derived {
+				d, err := derive()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.rows == nil || d.rows == view.rows || d.rows.tables != nil {
+					t.Fatalf("%s view shares its parent's merged rows", name)
+				}
+				idxs := []int64{0, size / 3, size - 1}
+				sameBits(t, name+" view", idxs, d.PredictIndices(idxs, d.NewBatchScratch(), nil), int16Reference(t, d, idxs))
+				if d.rows.tables == nil || d.rows.tables == shared || view.rows.tables != shared {
+					t.Fatalf("%s view did not build its own merged rows", name)
+				}
 			}
 		})
 	}

@@ -82,6 +82,11 @@ type Model struct {
 	// each top-M sweep screens through a fork of it. nil for every other
 	// view.
 	levels *ann.QuantSweeper
+	// rows holds the merged level rows (ann.ScoreTables) the scorers of
+	// levels sum, built by the view's first NewBatchScratch and shared by
+	// every scratch of the view. Set with levels; top-M sweeps never
+	// build it.
+	rows *levelRows
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
 	persistVersion int
@@ -122,19 +127,28 @@ func (m *Model) WithEngine(name string) (*Model, error) {
 	}
 	view := *m
 	view.engine = eng
-	view.levels = view.levelTables()
+	view.setLevelTables()
 	return &view, nil
 }
 
-// levelTables returns the screen whose level tables a bound int16 view
-// predicts from, nil for any other view or when the view has no screen
-// (PredictIndices then runs the engine's forward pass, with the same
-// values).
-func (m *Model) levelTables() *ann.QuantSweeper {
+// levelRows is a view's lazily built ann.ScoreTables.
+type levelRows struct {
+	once   sync.Once
+	tables *ann.ScoreTables
+}
+
+// setLevelTables sets the screen whose level tables a bound int16 view
+// predicts from, with fresh merged rows for it; nil for any other view
+// or when the view has no screen (PredictIndices then runs the engine's
+// forward pass, with the same values).
+func (m *Model) setLevelTables() {
+	m.levels, m.rows = nil, nil
 	if _, ok := m.engine.(*ann.QuantizedEnsemble); !ok || !m.Bound() {
-		return nil
+		return
 	}
-	return m.newScreen()
+	if m.levels = m.newScreen(); m.levels != nil {
+		m.rows = new(levelRows)
+	}
 }
 
 // int16Engine returns the view's engine when it already is the int16
@@ -268,7 +282,7 @@ func (m *Model) WithDevice(device []float64) (*Model, error) {
 	}
 	bound := *m
 	bound.tail = append([]float64(nil), device...)
-	bound.levels = bound.levelTables()
+	bound.setLevelTables()
 	return &bound, nil
 }
 
@@ -334,10 +348,13 @@ type BatchScratch struct {
 
 // NewBatchScratch allocates batch-prediction buffers for the model's
 // selected engine. On a view with level tables (a bound int16 view, see
-// WithEngine) it holds a scorer over them instead of block buffers.
+// WithEngine) it holds a scorer over them instead of block buffers; the
+// view's first call builds the merged rows its scorers share.
 func (m *Model) NewBatchScratch() *BatchScratch {
 	if m.levels != nil {
-		return &BatchScratch{score: m.levels.NewScorer(), e: m.engine}
+		r := m.rows
+		r.once.Do(func() { r.tables = m.levels.ScoreTables() })
+		return &BatchScratch{score: r.tables.NewScorer(), e: m.engine}
 	}
 	return m.newBatchScratchFor(m.eng())
 }

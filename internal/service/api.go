@@ -161,11 +161,14 @@ func (e *Error) HTTPStatus() int {
 
 // --- typed requests and responses -------------------------------------
 
-// Prediction is one predicted configuration in API responses.
+// Prediction is one predicted configuration in API responses: its
+// space index and predicted time. HTTP bodies also carry the
+// configuration's parameter map, rendered from the index (configKeys);
+// the RPC plane and Go callers derive it from the space when they need
+// it.
 type Prediction struct {
-	Index   int64          `json:"index"`
-	Config  map[string]int `json:"config"`
-	Seconds float64        `json:"seconds"`
+	Index   int64   `json:"index"`
+	Seconds float64 `json:"seconds"`
 }
 
 // PredictRequest addresses one configuration of one model. Exactly one
@@ -187,7 +190,7 @@ type PredictResponse struct {
 	Device     string `json:"device"`
 	Resolution string `json:"resolution"`
 	Prediction
-	keys *configKeys // renders Config over HTTP; nil sorts the map's own keys
+	keys *configKeys // renders the config field over HTTP
 }
 
 // PredictBatchRequest addresses a batch: exactly one of Indices (dense
@@ -207,7 +210,7 @@ type PredictBatchResponse struct {
 	Device      string       `json:"device"`
 	Resolution  string       `json:"resolution"`
 	Predictions []Prediction `json:"predictions"`
-	keys        *configKeys  // renders each Config over HTTP; nil sorts the map's own keys
+	keys        *configKeys  // renders each config field over HTTP
 }
 
 // TopMRequest asks for the M best-predicted configurations of one
@@ -226,7 +229,7 @@ type TopMResponse struct {
 	Resolution string       `json:"resolution"`
 	M          int          `json:"m"`
 	Top        []Prediction `json:"top"`
-	keys       *configKeys  // renders each Config over HTTP; nil sorts the map's own keys
+	keys       *configKeys  // renders each config field over HTTP
 }
 
 // ModelsRequest selects the model listing: slots whose generation
@@ -486,10 +489,11 @@ func (s *Server) resolve(benchmark, device string, desc *devsim.Descriptor) (res
 }
 
 // configKeys returns the rendered config keys of the resolved model's
-// space: its serve state's, nil for an ephemeral resolution.
+// space: its serve state's, or built for this request when the
+// resolution is ephemeral.
 func (rm resolvedModel) configKeys() *configKeys {
 	if rm.state == nil {
-		return nil
+		return newConfigKeys(rm.model.Space())
 	}
 	return rm.state.keys
 }
@@ -512,11 +516,14 @@ func (s *Server) topMThrough(rm resolvedModel, M int) []Prediction {
 	if rm.state != nil {
 		return s.topMCached(rm.state, M)
 	}
-	top := rm.model.TopM(M)
+	return predictions(rm.model.TopM(M))
+}
+
+// predictions converts a top-M answer to API predictions.
+func predictions(top []core.Predicted) []Prediction {
 	out := make([]Prediction, len(top))
 	for i, p := range top {
-		cfg := rm.model.Space().At(p.Index)
-		out[i] = Prediction{Index: p.Index, Config: cfg.Map(), Seconds: p.Seconds}
+		out[i] = Prediction{Index: p.Index, Seconds: p.Seconds}
 	}
 	return out
 }
@@ -539,7 +546,6 @@ func (s *Server) Predict(req *PredictRequest) (*PredictResponse, error) {
 		return nil, rerr
 	}
 	space := rm.model.Space()
-	var cfg tuning.Config
 	var idx int64
 	switch {
 	case req.HasIndex && len(req.Config) > 0:
@@ -549,10 +555,8 @@ func (s *Server) Predict(req *PredictRequest) (*PredictResponse, error) {
 			return nil, errf(errKindInvalid, "index %d out of range [0, %d)", req.Index, space.Size())
 		}
 		idx = req.Index
-		cfg = space.At(idx)
 	case len(req.Config) > 0:
-		var err error
-		cfg, err = space.FromMap(req.Config)
+		cfg, err := space.FromMap(req.Config)
 		if err != nil {
 			return nil, errf(errKindInvalid, "%v", err)
 		}
@@ -565,7 +569,7 @@ func (s *Server) Predict(req *PredictRequest) (*PredictResponse, error) {
 		Benchmark:  rm.key.Benchmark,
 		Device:     rm.key.Device,
 		Resolution: rm.via,
-		Prediction: Prediction{Index: idx, Config: cfg.Map(), Seconds: secs},
+		Prediction: Prediction{Index: idx, Seconds: secs},
 		keys:       rm.configKeys(),
 	}, nil
 }
@@ -584,7 +588,6 @@ func (s *Server) PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, 
 	}
 	space := rm.model.Space()
 	n := len(req.Indices) + len(req.Configs)
-	cfgs := make([]tuning.Config, 0, n)
 	// A request carries indices or configs, never both: index requests
 	// predict their own indices, config requests the configs' indices.
 	idxs := req.Indices
@@ -592,7 +595,6 @@ func (s *Server) PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, 
 		if idx < 0 || idx >= space.Size() {
 			return nil, errf(errKindInvalid, "index %d out of range [0, %d)", idx, space.Size())
 		}
-		cfgs = append(cfgs, space.At(idx))
 	}
 	if len(req.Configs) > 0 {
 		idxs = make([]int64, 0, n)
@@ -602,13 +604,12 @@ func (s *Server) PredictBatch(req *PredictBatchRequest) (*PredictBatchResponse, 
 		if err != nil {
 			return nil, errf(errKindInvalid, "config %d: %v", i, err)
 		}
-		cfgs = append(cfgs, cfg)
 		idxs = append(idxs, cfg.Index())
 	}
 	secs := s.predictThrough(rm, idxs, make([]float64, 0, n))
 	out := make([]Prediction, n)
-	for i, cfg := range cfgs {
-		out[i] = Prediction{Index: idxs[i], Config: cfg.Map(), Seconds: secs[i]}
+	for i, idx := range idxs {
+		out[i] = Prediction{Index: idx, Seconds: secs[i]}
 	}
 	return &PredictBatchResponse{
 		Benchmark: rm.key.Benchmark, Device: rm.key.Device, Resolution: rm.via, Predictions: out,

@@ -10,7 +10,7 @@ import (
 // serveState is the read path's state for one servable model: the
 // engine view, a pool of batch prediction scratches (so /v1/predict
 // allocates nothing steady-state), its space's rendered config keys (so
-// HTTP bodies skip sorting and escaping each config map) and the
+// HTTP bodies write each config from its index) and the
 // memoised top-M sweeps (so repeated /v1/topm hits under load stop
 // paying a full-space sweep).
 //
@@ -155,11 +155,7 @@ func (s *Server) topMCached(st *serveState, M int) []Prediction {
 		cm.topmSeeded()
 	}
 	cm.topmSweep(res.Scored, st.model.Space().Size())
-	out := make([]Prediction, len(res.Top))
-	for i, p := range res.Top {
-		cfg := st.model.Space().At(p.Index)
-		out[i] = Prediction{Index: p.Index, Config: cfg.Map(), Seconds: p.Seconds}
-	}
+	out := predictions(res.Top)
 	if len(st.topM) >= maxTopMCacheEntries {
 		st.topM = make(map[int][]Prediction)
 	}

@@ -125,85 +125,67 @@ func appendJSONPredictions(b []byte, ps []Prediction, keys *configKeys) ([]byte,
 
 // appendFields appends p's fields without the enclosing braces, so
 // PredictResponse can flatten the embedded Prediction as encoding/json
-// does.
+// does. The config field is rendered from the index (see configKeys).
 func (p *Prediction) appendFields(b []byte, keys *configKeys) ([]byte, error) {
 	b = append(b, `"index":`...)
 	b = strconv.AppendInt(b, p.Index, 10)
 	b = append(b, `,"config":`...)
-	b = keys.appendConfig(b, p.Config)
+	b = keys.appendConfig(b, p.Index)
 	b = append(b, `,"seconds":`...)
 	return appendJSONFloat(b, p.Seconds)
 }
 
-// configKeys is one space's parameter names in the order encoding/json
-// writes map keys (sorted), each rendered once with the byte before it
-// and the colon after: `{"a":` for the first key, `,"b":` for the rest.
-// A serve state builds its space's keys once; every config map of every
-// response it serves then skips the sort and the escaping.
+// configKeys renders the configurations of one space. Its names are the
+// space's parameter names in the order encoding/json writes map keys
+// (sorted), each rendered once with the comma before it and the colon
+// after: `"a":` for the first key, `,"b":` for the rest; pos[i] is name
+// i's parameter position. A serve state builds its space's keys
+// once; every config of every response it serves is then decoded from
+// its index and written without a map, a sort or an escape.
 type configKeys struct {
-	names []string
-	lead  [][]byte
+	params []tuning.Param
+	pos    []int
+	lead   [][]byte
 }
 
 func newConfigKeys(space *tuning.Space) *configKeys {
 	params := space.Params()
-	names := make([]string, len(params))
-	for i, p := range params {
-		names[i] = p.Name
+	pos := make([]int, len(params))
+	for i := range pos {
+		pos[i] = i
 	}
-	sort.Strings(names)
-	k := &configKeys{names: names, lead: make([][]byte, len(names))}
-	for i, name := range names {
-		open := byte(',')
-		if i == 0 {
-			open = '{'
+	sort.Slice(pos, func(i, j int) bool { return params[pos[i]].Name < params[pos[j]].Name })
+	k := &configKeys{params: params, pos: pos, lead: make([][]byte, len(pos))}
+	for i, p := range pos {
+		var lead []byte
+		if i > 0 {
+			lead = []byte{','}
 		}
-		k.lead[i] = append(appendJSONString([]byte{open}, name), ':')
+		k.lead[i] = append(appendJSONString(lead, params[p].Name), ':')
 	}
 	return k
 }
 
-// appendConfig appends cfg as encoding/json writes a map[string]int. A
-// map holding exactly k's names (a space's names are distinct, so equal
-// lengths plus every name present is the same key set) takes the
-// rendered keys; any other map, and every map when k is nil, is sorted
-// and escaped here.
-func (k *configKeys) appendConfig(b []byte, cfg map[string]int) []byte {
-	if k != nil && len(k.names) > 0 && len(cfg) == len(k.names) {
-		mark := len(b)
-		for i, name := range k.names {
-			v, ok := cfg[name]
-			if !ok {
-				b = b[:mark]
-				return appendJSONIntMap(b, cfg)
-			}
-			b = append(b, k.lead[i]...)
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		return append(b, '}')
-	}
-	return appendJSONIntMap(b, cfg)
-}
-
-// appendJSONIntMap appends m as encoding/json writes it: null when nil,
-// otherwise its keys sorted and escaped.
-func appendJSONIntMap(b []byte, m map[string]int) []byte {
-	if m == nil {
+// appendConfig appends the configuration at index idx of k's space as
+// encoding/json writes its tuning.Config.Map(); null when k is nil.
+func (k *configKeys) appendConfig(b []byte, idx int64) []byte {
+	if k == nil {
 		return append(b, "null"...)
 	}
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
+	var buf [16]int
+	values := buf[:]
+	if len(k.params) > len(buf) {
+		values = make([]int, len(k.params))
 	}
-	sort.Strings(names)
+	for p := len(k.params) - 1; p >= 0; p-- {
+		arity := int64(k.params[p].Arity())
+		values[p] = k.params[p].Values[idx%arity]
+		idx /= arity
+	}
 	b = append(b, '{')
-	for i, name := range names {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, name)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(m[name]), 10)
+	for i, p := range k.pos {
+		b = append(b, k.lead[i]...)
+		b = strconv.AppendInt(b, int64(values[p]), 10)
 	}
 	return append(b, '}')
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -28,13 +29,68 @@ func marshalBody(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// mirrorPrediction is a prediction as HTTP bodies carry it, with the
+// configuration's parameter map next to the index.
+type mirrorPrediction struct {
+	Index   int64          `json:"index"`
+	Config  map[string]int `json:"config"`
+	Seconds float64        `json:"seconds"`
+}
+
+// mirrorPredictions pairs each prediction with space.At(index).Map(),
+// or a nil map when space is nil (a response without config keys).
+func mirrorPredictions(space *tuning.Space, ps []Prediction) []mirrorPrediction {
+	if ps == nil {
+		return nil
+	}
+	out := make([]mirrorPrediction, len(ps))
+	for i, p := range ps {
+		out[i] = mirrorPrediction{Index: p.Index, Seconds: p.Seconds}
+		if space != nil {
+			out[i].Config = space.At(p.Index).Map()
+		}
+	}
+	return out
+}
+
+// mirror is the oracle for the appended read-path bodies: a struct of
+// the same fields whose configs are built by space.At(index).Map()
+// rather than from the responses' rendered keys, for encoding/json to
+// encode.
+func mirror(space *tuning.Space, v any) any {
+	type model struct {
+		Benchmark  string `json:"benchmark"`
+		Device     string `json:"device"`
+		Resolution string `json:"resolution"`
+	}
+	switch r := v.(type) {
+	case *PredictResponse:
+		return struct {
+			model
+			mirrorPrediction
+		}{model{r.Benchmark, r.Device, r.Resolution}, mirrorPredictions(space, []Prediction{r.Prediction})[0]}
+	case *PredictBatchResponse:
+		return struct {
+			model
+			Predictions []mirrorPrediction `json:"predictions"`
+		}{model{r.Benchmark, r.Device, r.Resolution}, mirrorPredictions(space, r.Predictions)}
+	case *TopMResponse:
+		return struct {
+			model
+			M   int                `json:"m"`
+			Top []mirrorPrediction `json:"top"`
+		}{model{r.Benchmark, r.Device, r.Resolution}, r.M, mirrorPredictions(space, r.Top)}
+	}
+	panic(fmt.Sprintf("no mirror for %T", v))
+}
+
 // TestHTTPBodiesMatchEncodingJSON pins the hand-appended predict,
 // predict-batch and top-M bodies to encoding/json byte for byte. It
 // serves a concrete and a portable model under the float64 and int16
 // engines, resolved exactly, by catalog name and by an inline
 // descriptor whose name needs escaping, and compares each ServeHTTP
 // body with the compact encoding of the API response to the same
-// request.
+// request, its configs built by space.At(index).Map() (mirror).
 func TestHTTPBodiesMatchEncodingJSON(t *testing.T) {
 	reg, err := NewRegistry(storage.NewMemory())
 	if err != nil {
@@ -82,7 +138,7 @@ func TestHTTPBodiesMatchEncodingJSON(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if want := marshalBody(t, resp); !bytes.Equal(got, want) {
+			if want := marshalBody(t, mirror(space, resp)); !bytes.Equal(got, want) {
 				t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
 			}
 		}
@@ -134,7 +190,7 @@ func TestHTTPBodiesMatchEncodingJSON(t *testing.T) {
 func TestWriteJSONUnencodableIsInternal(t *testing.T) {
 	for name, v := range map[string]any{
 		"appender": &PredictResponse{Benchmark: "b", Device: "d", Resolution: resolutionExact,
-			Prediction: Prediction{Index: 1, Config: map[string]int{"x": 1}, Seconds: math.NaN()}},
+			Prediction: Prediction{Index: 1, Seconds: math.NaN()}},
 		"appender-batch": &PredictBatchResponse{Predictions: []Prediction{{Seconds: 1}, {Seconds: math.Inf(-1)}}},
 		"encoding/json":  struct{ Seconds float64 }{math.NaN()},
 	} {
@@ -151,13 +207,14 @@ func TestWriteJSONUnencodableIsInternal(t *testing.T) {
 }
 
 // FuzzPredictJSON checks the read-path appenders against json.Marshal
-// over arbitrary strings (device, benchmark, resolution and config
-// keys, valid UTF-8 or not), config values, indices and float bit
-// patterns, non-finite ones included: the bytes must be equal, and
-// where Marshal fails the appender must fail with the same message.
-// Config maps are rendered both through a space's pre-rendered keys
-// and through the sorting fallback, including maps whose keys differ
-// from the space's.
+// over arbitrary strings (device, benchmark, resolution and parameter
+// names, valid UTF-8 or not), parameter values, indices and float bit
+// patterns, non-finite ones included: the bytes must equal those of the
+// mirror oracle, whose configs are space.At(index).Map() of a space
+// built from the fuzzed names and values, and where Marshal fails the
+// appender must fail with the same message. The spaces have one or two
+// parameters, and one has 18, more than appendConfig decodes on the
+// stack; responses without config keys render config as null.
 func FuzzPredictJSON(f *testing.F) {
 	f.Add("Intel i7 3770", "convolution", "exact", "wg_x", "use_local", int64(8), int64(1), int64(7), math.Float64bits(0.00125), 10)
 	f.Add("<gpu> & \"x\"", "b\\c", "portable", "\u2028", "\u2029", int64(-1), int64(math.MaxInt64), int64(math.MinInt64), math.Float64bits(1e-7), 1)
@@ -170,29 +227,35 @@ func FuzzPredictJSON(f *testing.F) {
 	f.Add("d", "b", "r", "k1", "k2", int64(1), int64(2), int64(3), math.Float64bits(123456789.125), 3)
 	f.Fuzz(func(t *testing.T, device, benchmark, resolution, key1, key2 string, v1, v2, index int64, bits uint64, m int) {
 		secs := math.Float64frombits(bits)
-		params := []tuning.Param{{Name: key1, Values: []int{0}}}
+		params := []tuning.Param{{Name: key1, Values: []int{int(v1), int(v2)}}}
 		if key2 != key1 {
-			params = append(params, tuning.Param{Name: key2, Values: []int{0}})
+			params = append(params, tuning.Param{Name: key2, Values: []int{int(v2), int(index), int(v1)}})
 		}
-		keys := newConfigKeys(tuning.NewSpace("fuzz", params...))
-		cfg := map[string]int{key1: int(v1), key2: int(v2)}
-		other := map[string]int{key1: int(v2), key2 + "\x00": int(v1)}
-		preds := []Prediction{
-			{Index: index, Config: cfg, Seconds: secs},
-			{Index: -index, Config: other, Seconds: secs / 3},
-			{Index: v1, Config: nil, Seconds: float64(v2)},
-			{Index: v2, Config: map[string]int{}, Seconds: -secs},
+		wide := make([]tuning.Param, 18)
+		for i := range wide {
+			wide[i] = tuning.Param{Name: key1 + strconv.Itoa(i), Values: []int{int(v1 + int64(i)), int(v2)}}
 		}
-		for _, k := range []*configKeys{keys, nil} {
+		for _, space := range []*tuning.Space{tuning.NewSpace("fuzz", params...), tuning.NewSpace("wide", wide...), nil} {
+			keys, size := (*configKeys)(nil), int64(1<<62)
+			if space != nil {
+				keys, size = newConfigKeys(space), space.Size()
+			}
+			at := func(i int64) int64 { return (i%size + size) % size }
+			preds := []Prediction{
+				{Index: at(index), Seconds: secs},
+				{Index: at(^index), Seconds: secs / 3},
+				{Index: at(v1), Seconds: float64(v2)},
+				{Index: at(v2), Seconds: -secs},
+			}
 			for _, v := range []jsonAppender{
-				&PredictResponse{Benchmark: benchmark, Device: device, Resolution: resolution, Prediction: preds[0], keys: k},
-				&PredictResponse{Benchmark: benchmark, Device: device, Resolution: resolution, Prediction: preds[1], keys: k},
-				&PredictBatchResponse{Benchmark: benchmark, Device: device, Resolution: resolution, Predictions: preds, keys: k},
-				&PredictBatchResponse{Benchmark: benchmark, Device: device, Resolution: resolution, keys: k},
-				&TopMResponse{Benchmark: benchmark, Device: device, Resolution: resolution, M: m, Top: preds[:m&3], keys: k},
-				&TopMResponse{Benchmark: benchmark, Device: device, Resolution: resolution, M: m, Top: []Prediction{}, keys: k},
+				&PredictResponse{Benchmark: benchmark, Device: device, Resolution: resolution, Prediction: preds[0], keys: keys},
+				&PredictResponse{Benchmark: benchmark, Device: device, Resolution: resolution, Prediction: preds[1], keys: keys},
+				&PredictBatchResponse{Benchmark: benchmark, Device: device, Resolution: resolution, Predictions: preds, keys: keys},
+				&PredictBatchResponse{Benchmark: benchmark, Device: device, Resolution: resolution, keys: keys},
+				&TopMResponse{Benchmark: benchmark, Device: device, Resolution: resolution, M: m, Top: preds[:m&3], keys: keys},
+				&TopMResponse{Benchmark: benchmark, Device: device, Resolution: resolution, M: m, Top: []Prediction{}, keys: keys},
 			} {
-				want, werr := json.Marshal(v)
+				want, werr := json.Marshal(mirror(space, v))
 				got, gerr := v.appendJSON(nil)
 				switch {
 				case werr != nil || gerr != nil:

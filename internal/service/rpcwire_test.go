@@ -153,11 +153,8 @@ func TestRPCResponseRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Config maps deliberately do not cross the RPC wire.
-	want := *pr
-	want.Config = nil
-	if !reflect.DeepEqual(gotPR, &want) {
-		t.Errorf("predict\n got %+v\nwant %+v", gotPR, &want)
+	if !reflect.DeepEqual(gotPR, pr) {
+		t.Errorf("predict\n got %+v\nwant %+v", gotPR, pr)
 	}
 
 	br := &PredictBatchResponse{Benchmark: "b", Device: "d", Resolution: resolutionPortable,
