@@ -285,7 +285,7 @@ var (
 // model quality, determines prediction cost). A one-time training
 // failure is remembered and re-reported by every caller instead of
 // leaving later benchmarks a nil model.
-func convolutionModel(b *testing.B) *core.Model {
+func convolutionModel(b testing.TB) *core.Model {
 	b.Helper()
 	convModelOnce.Do(func() {
 		bm := bench.MustLookup("convolution")
@@ -457,7 +457,7 @@ var (
 // valid simulated Intel i7 measurements of a seed-201 sample, saved and
 // reloaded from bytes, so the sweep screens through the loaded v4 int16
 // tables as a served model does.
-func raycastingModel(b *testing.B) *core.Model {
+func raycastingModel(b testing.TB) *core.Model {
 	b.Helper()
 	rayModelOnce.Do(func() {
 		bm := bench.MustLookup("raycasting")
@@ -519,6 +519,37 @@ func BenchmarkRaycastingTopMCold(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(exact), "exact/op")
+}
+
+// TestTopMScoredPins pins the exact forward passes (TopMResult.Scored)
+// of a cold top-200 sweep with one and two workers, on the raycasting
+// cold fixture and the convolution fixture. Scored is an exact function
+// of the model, M and the worker count, so any change to the screen, the
+// unit order or the ceiling that costs or saves work moves a pin; a PR
+// that claims less work moves the pin down. Training is bit-exact only
+// on amd64.
+func TestTopMScoredPins(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("trained weights, and so the sweep's work, are pinned on amd64")
+	}
+	for _, c := range []struct {
+		name  string
+		model func(testing.TB) *core.Model
+		want  [2]int64 // workers 1 and 2
+	}{
+		{"raycasting", raycastingModel, [2]int64{2069, 3749}},
+		{"convolution", convolutionModel, [2]int64{1386, 2432}},
+	} {
+		m := c.model(t)
+		for w, want := range c.want {
+			prev := runtime.GOMAXPROCS(w + 1)
+			got := m.TopMIncremental(200, nil).Scored
+			runtime.GOMAXPROCS(prev)
+			if got != want {
+				t.Errorf("%s, %d workers: Scored %d, pinned at %d", c.name, w+1, got, want)
+			}
+		}
+	}
 }
 
 // BenchmarkServePredictInt16 measures the serve path's single and
@@ -642,9 +673,9 @@ func BenchmarkHTTPPredictHandler(b *testing.B) {
 // BenchmarkConvolutionTopMEngines runs the same full-space top-200 sweep
 // under each inference engine. Every view screens through the int16
 // sweeper and ranks only exact reference scores, so the work and the
-// result are engine-independent; the sub-benchmarks differ only in the
-// engine-selection path (an int16 view reuses its quantised tables, the
-// others quantise once per sweep).
+// result are engine-independent. Each view builds its screen on its
+// first sweep and every later sweep forks it, so the sub-benchmarks
+// time the same sweep.
 func BenchmarkConvolutionTopMEngines(b *testing.B) {
 	for _, name := range ann.EngineNames() {
 		b.Run(name, func(b *testing.B) {

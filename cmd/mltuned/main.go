@@ -40,8 +40,9 @@
 // through the int16 sweeper and ranks exact reference scores, so top-M
 // answers are identical under all three engines. Models a
 // quantisation proof does not cover fall back to float64 per
-// model, counted in mltuned_engine_fallbacks_total; /v1/stats and
-// /v1/models report the engine in effect.
+// model, counted in mltuned_engine_fallbacks_total; a binding to
+// device features outside the quantisers' input domain is served by
+// float64 too. /v1/stats and /v1/models report the engine in effect.
 //
 // The daemon splits into planes for fleet deployments. -role train (or
 // the default all) is the train plane: it owns the writable registry.

@@ -6,7 +6,7 @@ import (
 )
 
 // BatchScratch holds the forward buffers for predicting a block of up to
-// Capacity samples through one network without allocating. Like Scratch,
+// capacity samples through one network without allocating. Like Scratch,
 // it is single-goroutine state: concurrent predictors each need their own.
 type BatchScratch struct {
 	capacity int
@@ -30,9 +30,6 @@ func (n *Network) NewBatchScratch(capacity int) *BatchScratch {
 	}
 	return s
 }
-
-// Capacity returns the largest block the scratch can hold.
-func (s *BatchScratch) Capacity() int { return s.capacity }
 
 // PredictBatch runs count samples through the network and writes the
 // outputs to dst[:count]. xs is the sample-major input block
@@ -173,9 +170,6 @@ func (e *Ensemble) NewBatchScratch(capacity int) *BatchPredictScratch {
 	}
 	return ps
 }
-
-// Capacity returns the largest block the scratch can hold.
-func (ps *BatchPredictScratch) Capacity() int { return ps.capacity }
 
 // PredictBatch writes the ensemble prediction (mean of the member
 // networks' outputs) for count sample-major samples in xs to dst[:count].

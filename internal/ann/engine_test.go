@@ -78,74 +78,95 @@ func engineInputs(rng *rand.Rand, count, dim int) []float64 {
 	return xs
 }
 
-// TestEngineConformance is the shared suite every engine must pass (see
-// CONTRIBUTING): predictions within the advertised error bound of the
-// reference and scratch capacity accounting. New engines get added to EngineNames and inherit this.
-func TestEngineConformance(t *testing.T) {
-	for _, ec := range engineCases(t) {
-		ref := Float64Engine{E: ec.e}
-		refScratch := ref.NewScratch(64)
-		for _, name := range EngineNames() {
-			t.Run(ec.name+"/"+name, func(t *testing.T) {
-				eng, err := NewEngine(name, ec.e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if eng.Name() != name {
-					t.Fatalf("Name() = %q, want %q", eng.Name(), name)
-				}
-				bound := eng.ErrorBound()
-				if bound < 0 || math.IsNaN(bound) || bound > 1 {
-					t.Fatalf("implausible error bound %g", bound)
-				}
-				s := eng.NewScratch(64)
-				if s.Capacity() < 64 {
-					t.Fatalf("scratch capacity %d < 64", s.Capacity())
-				}
-				rng := rand.New(rand.NewSource(5))
-				dim := ec.e.nets[0].sizes[0]
-				want := make([]float64, 64)
-				got := make([]float64, 64)
-				for round := 0; round < 20; round++ {
-					count := 1 + rng.Intn(64)
-					xs := engineInputs(rng, count, dim)
-					ref.PredictBatch(xs, count, refScratch, want)
-					eng.PredictBatch(xs, count, s, got)
-					for b := 0; b < count; b++ {
-						if d := math.Abs(got[b] - want[b]); d > bound {
-							t.Fatalf("round %d sample %d: |%g - %g| = %g exceeds bound %g",
-								round, b, got[b], want[b], d, bound)
-						}
-					}
-				}
-			})
+// batchEngine is one engine's batch pass over float inputs: the
+// reference block pass, or QuantizeQ14 rounding of the inputs followed by
+// the quantised engine's Q14 forward pass. bound is the engine's proven
+// error bound, 0 for the reference.
+type batchEngine struct {
+	bound float64
+	run   func(xs []float64, count int, dst []float64)
+}
+
+// newBatchEngine builds the named engine over e for blocks of up to
+// capacity samples. Its run allocates nothing.
+func newBatchEngine(tb testing.TB, name string, e *Ensemble, capacity int) batchEngine {
+	tb.Helper()
+	qin := make([]int16, capacity*e.nets[0].sizes[0])
+	quantize := func(xs []float64) []int16 {
+		for i, x := range xs {
+			qin[i] = QuantizeQ14(x)
+		}
+		return qin[:len(xs)]
+	}
+	switch name {
+	case EngineFloat64:
+		s := e.NewBatchScratch(capacity)
+		return batchEngine{0, func(xs []float64, count int, dst []float64) { e.PredictBatch(xs, count, s, dst) }}
+	case EngineInt16:
+		q, err := QuantizeEnsemble(e)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s := q.NewQuantScratch(capacity)
+		return batchEngine{q.ErrorBound(), func(xs []float64, count int, dst []float64) {
+			q.PredictBatchQ14(quantize(xs[:count*q.InputDim()]), count, s, dst)
+		}}
+	case EngineInt8:
+		q, err := Quantize8Ensemble(e)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s := q.NewQuant8Scratch(capacity)
+		return batchEngine{q.ErrorBound(), func(xs []float64, count int, dst []float64) {
+			q.PredictBatchQ14(quantize(xs[:count*q.InputDim()]), count, s, dst)
+		}}
+	}
+	tb.Fatalf("unknown engine %q", name)
+	return batchEngine{}
+}
+
+// withinBound fails the test unless every got[b] lies within bound of
+// the scalar reference e.Predict of sample b of xs (bit-identical for a
+// zero bound).
+func withinBound(t *testing.T, e *Ensemble, xs []float64, got []float64, bound float64) {
+	t.Helper()
+	ps := e.NewScratch()
+	dim := len(xs) / len(got)
+	for b := range got {
+		want := e.Predict(xs[b*dim:(b+1)*dim], ps)
+		if d := math.Abs(got[b] - want); d > bound || (bound == 0 && math.Float64bits(got[b]) != math.Float64bits(want)) {
+			t.Fatalf("sample %d: |%g - %g| = %g exceeds bound %g", b, got[b], want, d, bound)
 		}
 	}
 }
 
-// TestFloat64EngineBitIdentical pins that the reference engine is the
-// pre-refactor batched path, bit for bit.
-func TestFloat64EngineBitIdentical(t *testing.T) {
+// TestEngineConformance is the shared suite every engine must pass (see
+// CONTRIBUTING): from float inputs, including the quantised engines'
+// QuantizeQ14 rounding, predictions within the engine's advertised error
+// bound of the scalar reference, and the reference's own block pass
+// bit-identical to it. New engines get added to EngineNames and inherit
+// this.
+func TestEngineConformance(t *testing.T) {
 	for _, ec := range engineCases(t) {
-		eng, err := NewEngine("", ec.e) // empty name selects the reference
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eng.Name() != EngineFloat64 {
-			t.Fatalf("default engine is %q", eng.Name())
-		}
-		rng := rand.New(rand.NewSource(11))
-		dim := ec.e.nets[0].sizes[0]
-		count := 33
-		xs := engineInputs(rng, count, dim)
-		want := make([]float64, count)
-		got := make([]float64, count)
-		ec.e.PredictBatch(xs, count, ec.e.NewBatchScratch(count), want)
-		eng.PredictBatch(xs, count, eng.NewScratch(count), got)
-		for b := range want {
-			if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
-				t.Fatalf("%s sample %d: %g != %g", ec.name, b, got[b], want[b])
-			}
+		for _, name := range EngineNames() {
+			t.Run(ec.name+"/"+name, func(t *testing.T) {
+				eng := newBatchEngine(t, name, ec.e, 64)
+				if eng.bound < 0 || math.IsNaN(eng.bound) || eng.bound > 1 {
+					t.Fatalf("implausible error bound %g", eng.bound)
+				}
+				if name != EngineFloat64 && eng.bound == 0 {
+					t.Fatalf("%s engine reports a zero error bound", name)
+				}
+				rng := rand.New(rand.NewSource(5))
+				dim := ec.e.nets[0].sizes[0]
+				got := make([]float64, 64)
+				for round := 0; round < 20; round++ {
+					count := 1 + rng.Intn(64)
+					xs := engineInputs(rng, count, dim)
+					eng.run(xs, count, got)
+					withinBound(t, ec.e, xs, got[:count], eng.bound)
+				}
+			})
 		}
 	}
 }
@@ -205,9 +226,6 @@ func TestQuantizeEnsembleRejects(t *testing.T) {
 	if _, err := QuantizeEnsemble(nil); err == nil {
 		t.Fatal("nil ensemble quantised")
 	}
-	if _, err := NewEngine("bf16", &Ensemble{nets: []*Network{MustNew(rng, []int{2, 1}, Linear)}}); err == nil {
-		t.Fatal("unknown engine name accepted")
-	}
 }
 
 // TestQuantizeQ14 pins the rounding/saturation behaviour the tuning
@@ -236,41 +254,21 @@ func TestQuantizeQ14(t *testing.T) {
 }
 
 // TestEngineZeroAlloc pins the steady-state allocation contract: with a
-// reused scratch, every engine's predict path allocates nothing per
-// batch.
+// reused scratch, every engine's batch pass allocates nothing.
 func TestEngineZeroAlloc(t *testing.T) {
 	ecs := engineCases(t)
 	e := ecs[1].e // paper-shape
 	rng := rand.New(rand.NewSource(3))
-	dim := e.nets[0].sizes[0]
 	const count = 64
-	xs := engineInputs(rng, count, dim)
+	xs := engineInputs(rng, count, e.nets[0].sizes[0])
 	dst := make([]float64, count)
 	for _, name := range EngineNames() {
-		eng, err := NewEngine(name, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := eng.NewScratch(count)
+		eng := newBatchEngine(t, name, e, count)
 		if n := testing.AllocsPerRun(50, func() {
-			eng.PredictBatch(xs, count, s, dst)
+			eng.run(xs, count, dst)
 		}); n != 0 {
-			t.Errorf("%s PredictBatch: %v allocs/run", name, n)
+			t.Errorf("%s batch pass: %v allocs/run", name, n)
 		}
-	}
-	q, err := QuantizeEnsemble(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := q.NewQuantScratch(count)
-	qxs := make([]int16, count*dim)
-	for i, x := range xs {
-		qxs[i] = QuantizeQ14(x)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		q.PredictBatchQ14(qxs, count, qs, dst)
-	}); n != 0 {
-		t.Errorf("PredictBatchQ14: %v allocs/run", n)
 	}
 }
 
@@ -287,7 +285,7 @@ func TestQuantScratchCapacityPanic(t *testing.T) {
 		}
 	}()
 	s := q.NewQuantScratch(2)
-	q.PredictBatch(make([]float64, 3*q.InputDim()), 3, s, make([]float64, 3))
+	q.PredictBatchQ14(make([]int16, 3*q.InputDim()), 3, s, make([]float64, 3))
 }
 
 // TestFingerprint pins the content-tag semantics incremental top-M
@@ -322,8 +320,9 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// FuzzInt16WithinBound drives random models and random in-domain inputs
-// through both engines and asserts the advertised bound: this is the
+// FuzzInt16WithinBound drives random models and random in-domain float
+// inputs through the int16 engine, Q14 rounding included, and asserts
+// the advertised bound against the reference: this is the
 // error proof's empirical adversary.
 func FuzzInt16WithinBound(f *testing.F) {
 	f.Add(int64(1), 1.0, 0.25, -0.5, 0.75)
@@ -347,8 +346,7 @@ func FuzzInt16WithinBound(f *testing.F) {
 			}
 		}
 		e := &Ensemble{nets: []*Network{n, n.Clone()}}
-		q, err := QuantizeEnsemble(e)
-		if err != nil {
+		if _, err := QuantizeEnsemble(e); err != nil {
 			return // diverged scale: refusing is the correct behaviour
 		}
 		clamp := func(x float64) float64 {
@@ -367,16 +365,9 @@ func FuzzInt16WithinBound(f *testing.F) {
 				xs[i] = QuantInputLo + rng.Float64()*(QuantInputHi-QuantInputLo)
 			}
 		}
-		ref := Float64Engine{E: e}
-		want := make([]float64, count)
 		got := make([]float64, count)
-		ref.PredictBatch(xs, count, ref.NewScratch(count), want)
-		q.PredictBatch(xs, count, q.NewScratch(count), got)
-		for b := 0; b < count; b++ {
-			if d := math.Abs(got[b] - want[b]); d > q.ErrorBound() {
-				t.Fatalf("sample %d: |%g - %g| = %g exceeds bound %g",
-					b, got[b], want[b], d, q.ErrorBound())
-			}
-		}
+		eng := newBatchEngine(t, EngineInt16, e, count)
+		eng.run(xs, count, got)
+		withinBound(t, e, xs, got, eng.bound)
 	})
 }

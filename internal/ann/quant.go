@@ -164,14 +164,10 @@ type QuantizedEnsemble struct {
 // QuantScratch is the int16 engine's per-goroutine buffer set.
 type QuantScratch struct {
 	capacity int
-	qin      []int16
 	bufA     []int16
 	bufB     []int16
 	sum      []float64
 }
-
-// Capacity implements EngineScratch.
-func (s *QuantScratch) Capacity() int { return s.capacity }
 
 // QuantizeEnsemble builds the int16 engine. It fails — rather than
 // degrade silently — when the topology has activations the error proof
@@ -295,19 +291,12 @@ func quantizeNetwork(n *Network) ([]qLayer, float64, error) {
 	return layers, outErr, nil
 }
 
-// Name implements Engine.
-func (q *QuantizedEnsemble) Name() string { return EngineInt16 }
-
-// ErrorBound implements Engine.
+// ErrorBound returns the proven worst-case |int16 − reference| on the
+// raw ensemble output for in-domain inputs.
 func (q *QuantizedEnsemble) ErrorBound() float64 { return q.bound }
 
 // InputDim returns the feature width the engine expects.
 func (q *QuantizedEnsemble) InputDim() int { return q.inDim }
-
-// NewScratch implements Engine.
-func (q *QuantizedEnsemble) NewScratch(capacity int) EngineScratch {
-	return q.NewQuantScratch(capacity)
-}
 
 // NewQuantScratch allocates int16-engine buffers for blocks of up to
 // capacity samples.
@@ -317,38 +306,21 @@ func (q *QuantizedEnsemble) NewQuantScratch(capacity int) *QuantScratch {
 	}
 	return &QuantScratch{
 		capacity: capacity,
-		qin:      make([]int16, capacity*q.inDim),
 		bufA:     make([]int16, capacity*q.maxWidth),
 		bufB:     make([]int16, capacity*q.maxWidth),
 		sum:      make([]float64, capacity),
 	}
 }
 
-// quantizeInputs fills s.qin from count sample-major float features.
-func (q *QuantizedEnsemble) quantizeInputs(xs []float64, count int, s *QuantScratch) {
-	n := count * q.inDim
-	qin := s.qin[:n]
-	for i, x := range xs[:n] {
-		qin[i] = QuantizeQ14(x)
-	}
-}
-
-// PredictBatch implements Engine: quantise the inputs, then run the
-// fixed-point forward pass.
-func (q *QuantizedEnsemble) PredictBatch(xs []float64, count int, s EngineScratch, dst []float64) {
-	qs := s.(*QuantScratch)
-	q.quantizeInputs(xs, count, qs)
-	q.PredictBatchQ14(qs.qin, count, qs, dst)
-}
-
-// PredictBatchQ14 is the allocation-free fast path for callers that
-// already hold Q14-quantised features (see tuning.FeatureSchema's Q14
-// encoder): count samples, sample-major, stride InputDim.
-func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, es EngineScratch, dst []float64) {
+// PredictBatchQ14 is the int16 forward pass over Q14-quantised features
+// (see tuning.FeatureSchema's Q14 encoder): count samples, sample-major,
+// stride InputDim. No view serves it: a bound int16 view scores from
+// its screen's level tables (IndexScorer), bit-identical to this pass,
+// which stays the reference the sweeper and scorer tests compare with.
+func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, s *QuantScratch, dst []float64) {
 	if count == 0 {
 		return
 	}
-	s := es.(*QuantScratch)
 	if count > s.capacity {
 		panic("ann: quant batch exceeds scratch capacity")
 	}
@@ -369,7 +341,7 @@ func (q *QuantizedEnsemble) PredictBatchQ14(qxs []int16, count int, es EngineScr
 // pre-quantised samples: the quantised score widened by ErrorBound on
 // both sides. It is the from-scratch reference the incremental
 // QuantSweeper reproduces bit for bit.
-func (q *QuantizedEnsemble) PredictBatchBoundsQ14(qxs []int16, count int, s EngineScratch, lb, ub []float64) {
+func (q *QuantizedEnsemble) PredictBatchBoundsQ14(qxs []int16, count int, s *QuantScratch, lb, ub []float64) {
 	q.PredictBatchQ14(qxs, count, s, lb[:count])
 	for b := 0; b < count; b++ {
 		v := lb[b]

@@ -96,15 +96,11 @@ type Quantized8Ensemble struct {
 
 // Quant8Scratch is the int8 engine's per-goroutine buffer set.
 type Quant8Scratch struct {
-	qin      []int16
 	bufA     []int16
 	bufB     []int16
 	sum      []float64
 	capacity int
 }
-
-// Capacity implements EngineScratch.
-func (s *Quant8Scratch) Capacity() int { return s.capacity }
 
 // Quantize8Ensemble builds the int8 engine. It fails — rather than
 // degrade silently — when the topology has activations the error proof
@@ -275,54 +271,34 @@ func quantize8Network(n *Network) ([]q8Layer, float64, error) {
 	return layers, outErr, nil
 }
 
-// Name implements Engine.
-func (q *Quantized8Ensemble) Name() string { return EngineInt8 }
-
-// ErrorBound implements Engine.
+// ErrorBound returns the proven worst-case |int8 − reference| on the
+// raw ensemble output for in-domain inputs.
 func (q *Quantized8Ensemble) ErrorBound() float64 { return q.bound }
 
 // InputDim returns the feature width the engine expects.
 func (q *Quantized8Ensemble) InputDim() int { return q.inDim }
 
-// NewScratch implements Engine.
-func (q *Quantized8Ensemble) NewScratch(capacity int) EngineScratch {
+// NewQuant8Scratch allocates int8-engine buffers for blocks of up to
+// capacity samples.
+func (q *Quantized8Ensemble) NewQuant8Scratch(capacity int) *Quant8Scratch {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Quant8Scratch{
 		capacity: capacity,
-		qin:      make([]int16, capacity*q.inDim),
 		bufA:     make([]int16, capacity*q.maxWidth),
 		bufB:     make([]int16, capacity*q.maxWidth),
 		sum:      make([]float64, capacity),
 	}
 }
 
-// quantizeInputs fills s.qin from count sample-major float features.
-func (q *Quantized8Ensemble) quantizeInputs(xs []float64, count int, s *Quant8Scratch) {
-	n := count * q.inDim
-	qin := s.qin[:n]
-	for i, x := range xs[:n] {
-		qin[i] = QuantizeQ14(x)
-	}
-}
-
-// PredictBatch implements Engine: quantise the inputs, then run the
-// fixed-point forward pass.
-func (q *Quantized8Ensemble) PredictBatch(xs []float64, count int, s EngineScratch, dst []float64) {
-	qs := s.(*Quant8Scratch)
-	q.quantizeInputs(xs, count, qs)
-	q.PredictBatchQ14(qs.qin, count, qs, dst)
-}
-
-// PredictBatchQ14 is the allocation-free fast path for callers that
-// already hold Q14-quantised features: count samples, sample-major,
-// stride InputDim.
-func (q *Quantized8Ensemble) PredictBatchQ14(qxs []int16, count int, es EngineScratch, dst []float64) {
+// PredictBatchQ14 is the int8 forward pass over Q14-quantised features
+// (see tuning.FeatureSchema's Q14 encoder): count samples, sample-major,
+// stride InputDim. Allocation-free.
+func (q *Quantized8Ensemble) PredictBatchQ14(qxs []int16, count int, s *Quant8Scratch, dst []float64) {
 	if count == 0 {
 		return
 	}
-	s := es.(*Quant8Scratch)
 	if count > s.capacity {
 		panic("ann: quant8 batch exceeds scratch capacity")
 	}

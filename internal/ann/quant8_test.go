@@ -131,8 +131,7 @@ func FuzzInt8WithinBound(f *testing.F) {
 			}
 		}
 		e := &Ensemble{nets: []*Network{n, n.Clone()}}
-		q, err := Quantize8Ensemble(e)
-		if err != nil {
+		if _, err := Quantize8Ensemble(e); err != nil {
 			return // out-of-budget magnitudes: refusing is the correct behaviour
 		}
 		clamp := func(x float64) float64 {
@@ -151,17 +150,10 @@ func FuzzInt8WithinBound(f *testing.F) {
 				xs[i] = QuantInputLo + rng.Float64()*(QuantInputHi-QuantInputLo)
 			}
 		}
-		ref := Float64Engine{E: e}
-		want := make([]float64, count)
 		got := make([]float64, count)
-		ref.PredictBatch(xs, count, ref.NewScratch(count), want)
-		q.PredictBatch(xs, count, q.NewScratch(count), got)
-		for b := 0; b < count; b++ {
-			if d := math.Abs(got[b] - want[b]); d > q.ErrorBound() {
-				t.Fatalf("sample %d: |%g - %g| = %g exceeds bound %g",
-					b, got[b], want[b], d, q.ErrorBound())
-			}
-		}
+		eng := newBatchEngine(t, EngineInt8, e, count)
+		eng.run(xs, count, got)
+		withinBound(t, e, xs, got, eng.bound)
 	})
 }
 

@@ -362,7 +362,7 @@ func (s *QuantSweeper) ownFinishBuffers() {
 // bit-identical to PredictBatchQ14 on idx's features, for the reasons
 // Bounds is (integer sums are exact, finish mirrors the batch path), so a
 // bound int16 view serves its predictions through one (see
-// core.Model.WithEngine).
+// core.Model.NewBatchScratch).
 //
 // A scorer is single-goroutine state; it only reads its ScoreTables and
 // their sweeper, so any number of goroutines may each take one of

@@ -83,7 +83,7 @@ func quantize16(tb testing.TB, e *Ensemble) *QuantizedEnsemble {
 func TestSweeperMatchesBatch(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
-		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+		t.Run(ec.name+"/"+EngineInt16, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			sp := newSweepSpace(rng, q.InputDim())
 			sw, err := q.NewIndexSweeper(sp.levels, sp.tail)
@@ -93,7 +93,7 @@ func TestSweeperMatchesBatch(t *testing.T) {
 			if sw.Size() != sp.size {
 				t.Fatalf("Size() = %d, want %d", sw.Size(), sp.size)
 			}
-			scratch := q.NewScratch(1)
+			scratch := q.NewQuantScratch(1)
 			var qxs []int16
 			wantLb := make([]float64, 1)
 			wantUb := make([]float64, 1)
@@ -128,7 +128,7 @@ func TestSweeperMatchesBatch(t *testing.T) {
 func TestSweeperSeek(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
-		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+		t.Run(ec.name+"/"+EngineInt16, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(47))
 			sp := newSweepSpace(rng, q.InputDim())
 			inOrder, err := q.NewIndexSweeper(sp.levels, sp.tail)
@@ -174,7 +174,7 @@ func TestSweeperSeek(t *testing.T) {
 func TestSweeperBoundsCeil(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
-		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+		t.Run(ec.name+"/"+EngineInt16, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(59))
 			sp := newSweepSpace(rng, q.InputDim())
 			ref, err := q.NewIndexSweeper(sp.levels, sp.tail)
@@ -244,7 +244,7 @@ func TestSweeperBoundsCeil(t *testing.T) {
 func TestSweeperFloor(t *testing.T) {
 	for _, ec := range engineCases(t) {
 		q := quantize16(t, ec.e)
-		t.Run(ec.name+"/"+q.Name(), func(t *testing.T) {
+		t.Run(ec.name+"/"+EngineInt16, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(67))
 			sp := newSweepSpace(rng, q.InputDim())
 			ref, err := q.NewIndexSweeper(sp.levels, sp.tail)
@@ -340,7 +340,7 @@ func TestSweeperZeroAlloc(t *testing.T) {
 		}{{"fresh", fresh}, {"fork", sw.Fork()}} {
 			if allocs := testing.AllocsPerRun(20, pass(c.sw)); allocs != 0 {
 				t.Errorf("%s/%s %s: Floor, Bounds and BoundsCeil allocated %.1f times per sweep pass",
-					ec.name, q.Name(), c.name, allocs)
+					ec.name, EngineInt16, c.name, allocs)
 			}
 		}
 	}
@@ -452,7 +452,7 @@ func TestIndexScorerMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				sc := sw.NewScorer()
-				scratch := q.NewScratch(1)
+				scratch := q.NewQuantScratch(1)
 				want := make([]float64, 1)
 				var qxs []int16
 				check := func(idx int64) {
@@ -498,7 +498,7 @@ func TestIndexScorerZeroAlloc(t *testing.T) {
 				}
 			}
 			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
-				t.Errorf("%s/%s %s: Score allocated %.1f times per pass", ec.name, q.Name(), c.name, allocs)
+				t.Errorf("%s/%s %s: Score allocated %.1f times per pass", ec.name, EngineInt16, c.name, allocs)
 			}
 		}
 	}
@@ -523,7 +523,7 @@ func TestSweeperRejects(t *testing.T) {
 		{"empty-level", [][]int16{lv, {}, lv, lv}, nil, "no levels"},
 	} {
 		if _, err := q.NewIndexSweeper(tc.levels, tc.tail); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s/%s: error %v, want substring %q", q.Name(), tc.name, err, tc.want)
+			t.Errorf("%s/%s: error %v, want substring %q", EngineInt16, tc.name, err, tc.want)
 		}
 	}
 

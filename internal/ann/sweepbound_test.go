@@ -291,7 +291,7 @@ func FuzzIndexScorer(f *testing.F) {
 			t.Fatal(err)
 		}
 		sc := sw.NewScorer()
-		scratch := q.NewScratch(1)
+		scratch := q.NewQuantScratch(1)
 		want := make([]float64, 1)
 		var qxs []int16
 		for k := int64(0); k < 2*sp.size; k++ {

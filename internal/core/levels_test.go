@@ -23,7 +23,7 @@ func int16Reference(t *testing.T, view *Model, idxs []int64) []float64 {
 	}
 	schema := view.Schema()
 	qtail := schema.QuantizeTailQ14(view.tail, nil)
-	scratch := q.NewScratch(1)
+	scratch := q.NewQuantScratch(1)
 	raw := make([]float64, 1)
 	out := make([]float64, len(idxs))
 	var qxs []int16
@@ -43,7 +43,7 @@ func sameBits(t *testing.T, what string, idxs []int64, got, want []float64) {
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: index %d = %v, int16 engine %v", what, idxs[i], got[i], want[i])
+			t.Fatalf("%s: index %d = %v, want %v", what, idxs[i], got[i], want[i])
 		}
 	}
 }
@@ -72,7 +72,7 @@ func int16Views(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unbound.levels != nil {
+	if unbound.NewBatchScratch().score != nil || unbound.screen.sweep != nil {
 		t.Fatal("an unbound portable int16 view built level tables")
 	}
 	boundA, err := unbound.WithDevice(tuning.DeviceVector(&devA, nil))
@@ -93,26 +93,18 @@ func int16Views(t *testing.T) []struct {
 // exactly the int16 engine's values from its level tables: PredictIndices
 // over every configuration equals a from-scratch PredictBatchQ14 bit for
 // bit, for a parameter-only model, a portable model bound to one device
-// and that view re-bound to another. PredictBatchWith runs the engine's
-// block path through the same scratch, for configurations of the model's
-// space and of a second, equal Space value, and must give the same
-// values; PredictIndices keeps scoring from the tables afterwards.
+// and that view re-bound to another.
 func TestInt16ViewScoresFromLevels(t *testing.T) {
 	for _, c := range int16Views(t) {
 		t.Run(c.name, func(t *testing.T) {
 			view := c.view
 			space := view.Space()
-			if view.levels == nil {
+			if view.screen.sweeper(view) == nil {
 				t.Fatal("bound int16 view has no level tables")
 			}
 			idxs := make([]int64, space.Size())
-			cfgs := make([]tuning.Config, space.Size())
-			twin := tuning.NewSpace(space.Name(), space.Params()...)
-			foreign := make([]tuning.Config, space.Size())
 			for i := range idxs {
 				idxs[i] = int64(i)
-				cfgs[i] = space.At(int64(i))
-				foreign[i] = twin.At(int64(i))
 			}
 			want := int16Reference(t, view, idxs)
 
@@ -121,9 +113,6 @@ func TestInt16ViewScoresFromLevels(t *testing.T) {
 				t.Fatal("bound int16 view's scratch holds no scorer")
 			}
 			sameBits(t, "PredictIndices", idxs, view.PredictIndices(idxs, s, nil), want)
-			sameBits(t, "PredictBatchWith", idxs, view.PredictBatchWith(cfgs, s, nil), want)
-			sameBits(t, "PredictBatchWith (equal space)", idxs, view.PredictBatchWith(foreign, s, nil), want)
-			sameBits(t, "PredictIndices after the block path", idxs, view.PredictIndices(idxs, s, nil), want)
 		})
 	}
 }
@@ -137,7 +126,7 @@ func TestInt16ViewOtherEnginesKeepBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if view.levels != nil || view.NewBatchScratch().score != nil {
+		if view.NewBatchScratch().score != nil || view.screen.rows != nil {
 			t.Errorf("%s view scores from level tables", name)
 		}
 	}
@@ -156,7 +145,7 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			view := c.view
 			view.TopM(3)
-			if view.rows == nil || view.rows.tables != nil {
+			if view.screen.rows != nil {
 				t.Fatal("a top-M sweep built the view's merged rows")
 			}
 			size := view.Space().Size()
@@ -187,7 +176,7 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(g)))
 					s := view.NewBatchScratch()
-					built <- view.rows.tables
+					built <- view.screen.rows
 					batch := make([]int64, 16)
 					var got []float64
 					for round := 0; round < 50; round++ {
@@ -210,7 +199,7 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 				t.Fatal(e)
 			}
 			close(built)
-			shared := view.rows.tables
+			shared := view.screen.rows
 			for tables := range built {
 				if tables == nil || tables != shared {
 					t.Fatal("the view's scratches did not share one build of its merged rows")
@@ -229,15 +218,143 @@ func TestInt16ViewConcurrentScratches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d.rows == nil || d.rows == view.rows || d.rows.tables != nil {
+				if d.screen == view.screen || d.screen.rows != nil {
 					t.Fatalf("%s view shares its parent's merged rows", name)
 				}
 				idxs := []int64{0, size / 3, size - 1}
 				sameBits(t, name+" view", idxs, d.PredictIndices(idxs, d.NewBatchScratch(), nil), int16Reference(t, d, idxs))
-				if d.rows.tables == nil || d.rows.tables == shared || view.rows.tables != shared {
+				if d.screen.rows == nil || d.screen.rows == shared || view.screen.rows != shared {
 					t.Fatalf("%s view did not build its own merged rows", name)
 				}
 			}
 		})
+	}
+}
+
+// TestQuantisedViewsOutsideDomainServeReference pins the predict rule's
+// domain fallback: an int16 or int8 view bound to a device tail outside
+// [QuantInputLo, QuantInputHi], where the Q14 encoder would clamp the
+// feature and no error bound holds, serves the float64 reference, bit
+// for bit, whether the engine or the device was chosen first.
+func TestQuantisedViewsOutsideDomainServeReference(t *testing.T) {
+	space := goldenSpace()
+	portable, err := TrainModel(space, twoDeviceSamples(space, 60), nil, portableTestConfig(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := devsim.MustLookup(devsim.IntelI7).Descriptor()
+	device := tuning.DeviceVector(&dev, nil)
+	device[0] = 2 * ann.QuantInputHi
+	ref, err := portable.WithDevice(device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := make([]int64, space.Size())
+	for i := range idxs {
+		idxs[i] = int64(i)
+	}
+	want := ref.PredictIndices(idxs, ref.NewBatchScratch(), nil)
+	for _, name := range []string{ann.EngineInt16, ann.EngineInt8} {
+		engineFirst, err := engineView(t, portable, name).WithDevice(device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for order, view := range map[string]*Model{"engine first": engineFirst, "device first": engineView(t, ref, name)} {
+			if view.path != predictFloat64 {
+				t.Fatalf("%s view (%s) outside the domain predicts on path %d", name, order, view.path)
+			}
+			sameBits(t, name+" view ("+order+")", idxs, view.PredictIndices(idxs, view.NewBatchScratch(), nil), want)
+		}
+	}
+}
+
+// TestViewBuildsOneScreen pins that a view's sweeps screen through one
+// screen, built once: a second TopM on the view leaves the held sweeper
+// in place, and WithDevice and WithEngine give the new view its own.
+func TestViewBuildsOneScreen(t *testing.T) {
+	for _, c := range int16Views(t) {
+		t.Run(c.name, func(t *testing.T) {
+			for _, name := range ann.EngineNames() {
+				view := engineView(t, c.view, name)
+				if view.screen.sweep != nil {
+					t.Fatalf("%s: WithEngine built the screen", name)
+				}
+				first := view.TopM(10)
+				held := view.screen.sweep
+				if held == nil {
+					t.Fatalf("%s: TopM left the view without a screen", name)
+				}
+				if !samePredicted(view.TopM(10), first) || view.screen.sweep != held {
+					t.Fatalf("%s: a second TopM built a new screen", name)
+				}
+				derived := engineView(t, view, name)
+				if view.Portable() {
+					dev := devsim.MustLookup(devsim.AMD7970).Descriptor()
+					var err error
+					if derived, err = view.WithDevice(tuning.DeviceVector(&dev, nil)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				derived.TopM(10)
+				if derived.screen == view.screen || derived.screen.sweep == nil || derived.screen.sweep == held {
+					t.Fatalf("%s: the derived view shares its parent's screen", name)
+				}
+			}
+		})
+	}
+}
+
+// TestViewScreenConcurrentFirstUse races a fresh int16 view's first
+// TopM calls against its first NewBatchScratch calls (run under -race):
+// all of them share one build of the screen and of its merged rows, and
+// every answer is the specification's.
+func TestViewScreenConcurrentFirstUse(t *testing.T) {
+	m := trainedTestModel(t)
+	idxs := []int64{0, 1, m.Space().Size() / 2, m.Space().Size() - 1}
+	want := int16Reference(t, m, idxs)
+	wantTop := bruteTopM(m, 10)
+	view := engineView(t, m, ann.EngineInt16)
+	const goroutines = 8
+	sweeps := make(chan *ann.QuantSweeper, goroutines)
+	rows := make(chan *ann.ScoreTables, goroutines)
+	errs := make(chan string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				if !samePredicted(view.TopM(10), wantTop) {
+					errs <- "concurrent TopM differs from the brute-force top 10"
+				}
+			} else {
+				got := view.PredictIndices(idxs, view.NewBatchScratch(), nil)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						errs <- "concurrent PredictIndices differs from the int16 engine"
+						break
+					}
+				}
+				rows <- view.screen.rows
+			}
+			sweeps <- view.screen.sweep
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	close(sweeps)
+	close(rows)
+	for s := range sweeps {
+		if s == nil || s != view.screen.sweep {
+			t.Fatal("concurrent first uses built more than one screen")
+		}
+	}
+	for r := range rows {
+		if r == nil || r != view.screen.rows {
+			t.Fatal("concurrent scratches built more than one set of merged rows")
+		}
 	}
 }

@@ -72,48 +72,31 @@ type Model struct {
 	// vector WithDevice fixed); nil both for parameter-only models and
 	// for an unbound portable model.
 	tail []float64
-	// engine is the selected inference engine (WithEngine); nil selects
-	// the float64 reference. The scalar Predict path always runs the
-	// reference regardless. The engine drives the batch paths; top-M
-	// screening always runs through the int16 sweeper (see topMSweep).
-	engine ann.Engine
-	// levels is a bound int16 view's screen (see WithEngine): its batch
-	// scratches score PredictIndices from the screen's level tables, and
-	// each top-M sweep screens through a fork of it. nil for every other
-	// view.
-	levels *ann.QuantSweeper
-	// rows holds the merged level rows (ann.ScoreTables) the scorers of
-	// levels sum, built by the view's first NewBatchScratch and shared by
-	// every scratch of the view. Set with levels; top-M sweeps never
-	// build it.
-	rows *levelRows
+	// q16 and q8 are the quantised engine the view selected with
+	// WithEngine (at most one is set); both nil select the float64
+	// reference. The scalar Predict path always runs the reference.
+	q16 *ann.QuantizedEnsemble
+	q8  *ann.Quantized8Ensemble
+	// path is how the view's batch scratches predict, picked by
+	// predictPathOf each time WithEngine or WithDevice makes a view; the
+	// zero value is the float64 reference.
+	path predictPath
+	// screen holds the view's top-M screen, built on first use and
+	// shared by the view's sweeps and int16 scorers. WithEngine and
+	// WithDevice give each view its own; nil (a hand-built Model) builds
+	// a fresh screen per use.
+	screen *viewScreen
 	// persistVersion records the persistence version the model was loaded
 	// from; 0 for freshly trained models (see WeightFormat).
 	persistVersion int
 }
 
-// eng returns the selected engine, defaulting to the float64 reference.
-// Hand-built models (tests, experiments) construct Model literals without
-// an engine; they get reference behaviour.
-func (m *Model) eng() ann.Engine {
-	if m.engine != nil {
-		return m.engine
-	}
-	return ann.Float64Engine{E: m.ensemble}
-}
-
 // WithEngine returns a view of the model whose batch predictions run on
-// the named inference engine (see ann.EngineNames).
-// The view shares the trained weights with m; like WithDevice it is
-// cheap and safe to hold per serving context. Selecting a quantised
-// engine can fail: quantisation refuses topologies its error proof does
-// not cover and diverged weight magnitudes.
-//
-// A bound int16 view also builds the top-M screen (newScreen) once, for
-// its own space and device: PredictIndices then scores each
-// configuration from the screen's level tables with one row sum and the
-// screen's finish (ann.IndexScorer) instead of a forward pass,
-// bit-identical to the int16 engine's batch path.
+// the named inference engine (see ann.EngineNames), under the rule of
+// predictPathOf. The view shares the trained weights with m; like
+// WithDevice it is cheap and safe to hold per serving context. Selecting
+// a quantised engine can fail: quantisation refuses topologies its error
+// proof does not cover and diverged weight magnitudes.
 //
 // Engine semantics: batch predictions are within the engine's proven
 // error bound of the reference (bit-identical for the float64 engine).
@@ -121,53 +104,99 @@ func (m *Model) eng() ann.Engine {
 // the int16 sweeper and ranks only exact reference scores, so the
 // returned set, order and exact-pass count are engine-independent.
 func (m *Model) WithEngine(name string) (*Model, error) {
-	eng, err := ann.NewEngine(name, m.ensemble)
+	view := *m
+	view.q16, view.q8 = nil, nil
+	var err error
+	switch name {
+	case "", ann.EngineFloat64:
+	case ann.EngineInt16:
+		view.q16, err = ann.QuantizeEnsemble(m.ensemble)
+	case ann.EngineInt8:
+		view.q8, err = ann.Quantize8Ensemble(m.ensemble)
+	default:
+		err = fmt.Errorf("core: unknown engine %q (want one of %q)", name, ann.EngineNames())
+	}
 	if err != nil {
 		return nil, err
 	}
-	view := *m
-	view.engine = eng
-	view.setLevelTables()
+	view.path, view.screen = view.predictPathOf(), new(viewScreen)
 	return &view, nil
 }
 
-// levelRows is a view's lazily built ann.ScoreTables.
-type levelRows struct {
-	once   sync.Once
-	tables *ann.ScoreTables
+// predictPath is one of the ways a view predicts.
+type predictPath uint8
+
+const (
+	// predictFloat64 runs the float64 reference block pass, bit-identical
+	// to Predict.
+	predictFloat64 predictPath = iota
+	// predictLevels scores each configuration from the screen's level
+	// tables (ann.IndexScorer), bit-identical to the int16 engine.
+	predictLevels
+	// predictInt8 runs the int8 engine's Q14 block pass.
+	predictInt8
+)
+
+// predictPathOf picks how the view predicts. A quantised engine serves
+// only a bound view whose device tail lies inside [QuantInputLo,
+// QuantInputHi], the domain its error bound is proven on: int16 then
+// scores from the screen's level tables, and int8 runs its Q14 block
+// pass. Every other view, and an int16 view whose screen the sweeper
+// refuses (see NewBatchScratch), runs the float64 reference.
+func (m *Model) predictPathOf() predictPath {
+	switch {
+	case !m.Bound() || !m.tailInDomain():
+		return predictFloat64
+	case m.q16 != nil:
+		return predictLevels
+	case m.q8 != nil:
+		return predictInt8
+	}
+	return predictFloat64
 }
 
-// setLevelTables sets the screen whose level tables a bound int16 view
-// predicts from, with fresh merged rows for it; nil for any other view
-// or when the view has no screen (PredictIndices then runs the engine's
-// forward pass, with the same values).
-func (m *Model) setLevelTables() {
-	m.levels, m.rows = nil, nil
-	if _, ok := m.engine.(*ann.QuantizedEnsemble); !ok || !m.Bound() {
-		return
+// tailInDomain reports whether every bound tail feature lies inside the
+// quantisers' input domain.
+func (m *Model) tailInDomain() bool {
+	for _, v := range m.tail {
+		if !(v >= ann.QuantInputLo && v <= ann.QuantInputHi) {
+			return false
+		}
 	}
-	if m.levels = m.newScreen(); m.levels != nil {
-		m.rows = new(levelRows)
-	}
+	return true
 }
 
-// int16Engine returns the view's engine when it already is the int16
-// engine, and otherwise quantises the float64 weights.
-func (m *Model) int16Engine() (*ann.QuantizedEnsemble, error) {
-	if q, ok := m.engine.(*ann.QuantizedEnsemble); ok {
-		return q, nil
-	}
-	return ann.QuantizeEnsemble(m.ensemble)
+// viewScreen is a view's top-M screen and the merged level rows
+// (ann.ScoreTables) its int16 scorers sum, each built once, on first
+// use, and read-only after.
+type viewScreen struct {
+	once  sync.Once
+	sweep *ann.QuantSweeper
+	// rowsOnce builds rows from sweep, for the first scratch that scores
+	// from it; top-M sweeps never build it.
+	rowsOnce sync.Once
+	rows     *ann.ScoreTables
 }
 
-// EngineName returns the selected engine's name (ann.EngineFloat64 when
-// none was selected).
-func (m *Model) EngineName() string { return m.eng().Name() }
+// sweeper returns m's screen, building it on first use; nil when no
+// screen is sound (see newScreen). Sweeps fork it, so one view's
+// concurrent sweeps share no sweeper state.
+func (h *viewScreen) sweeper(m *Model) *ann.QuantSweeper {
+	if h == nil {
+		h = new(viewScreen)
+	}
+	h.once.Do(func() { h.sweep = m.newScreen() })
+	return h.sweep
+}
 
-// EngineErrorBound returns the selected engine's proven worst-case
-// deviation from the reference on the raw model output (0 for the
-// reference itself).
-func (m *Model) EngineErrorBound() float64 { return m.eng().ErrorBound() }
+// tables returns the merged level rows of m's screen, building both on
+// first use; nil when the view has no screen.
+func (h *viewScreen) tables(m *Model) *ann.ScoreTables {
+	if sweep := h.sweeper(m); sweep != nil {
+		h.rowsOnce.Do(func() { h.rows = sweep.ScoreTables() })
+	}
+	return h.rows
+}
 
 // TrainModel fits the paper's model to the measured samples. invalid
 // lists configurations that failed to run; they are ignored unless
@@ -242,7 +271,7 @@ func TrainModelProgress(ctx context.Context, space *tuning.Space, samples []Samp
 		ensemble: ensemble,
 		scaler:   scaler,
 		logT:     cfg.LogTransform,
-		engine:   ann.Float64Engine{E: ensemble},
+		screen:   new(viewScreen),
 	}, nil
 }
 
@@ -282,7 +311,7 @@ func (m *Model) WithDevice(device []float64) (*Model, error) {
 	}
 	bound := *m
 	bound.tail = append([]float64(nil), device...)
-	bound.setLevelTables()
+	bound.path, bound.screen = bound.predictPathOf(), new(viewScreen)
 	return &bound, nil
 }
 
@@ -323,101 +352,75 @@ func (m *Model) finish(y float64) float64 {
 // activations stay cache-resident.
 const predictBlock = 256
 
-// BatchScratch carries the reusable buffers of blocked batch prediction:
-// an encoded feature matrix, the engine's batch buffers and a raw output
-// block. A scratch is pinned to the view it was built for: its engine
-// and its bound device. Like PredictScratch it is single-goroutine state.
+// BatchScratch carries the reusable buffers of one view's batch
+// prediction: a scorer over the view's level tables, or the block
+// buffers of its int8 or float64 pass, sized on first use (fit); the
+// zero BatchScratch runs the float64 reference. A scratch is pinned to
+// the view it was built for: its engine and its bound device. Like
+// PredictScratch it is single-goroutine state.
 type BatchScratch struct {
-	// score, set on a scratch of a view with level tables (WithEngine),
-	// scores PredictIndices one configuration at a time. The block
-	// buffers below are then only allocated by the first PredictBatchWith.
+	// score, set on a scratch of a view that scores from level tables,
+	// scores PredictIndices one configuration at a time.
 	score *ann.IndexScorer
-	eng   ann.EngineScratch // selected engine's buffers
-	e     ann.Engine        // the engine the scratch belongs to
-	// Fixed-point fast path, set when e is a quantised (Q14-input)
-	// engine — int16 or int8: features are encoded straight into Q14 via
-	// the precomputed tables, skipping the float encode and the
-	// per-feature rounding.
-	q14   ann.Q14Engine
+	// q8, set on a scratch of an int8 view, runs the Q14 block pass:
+	// features are encoded straight into Q14 through the schema's
+	// precomputed tables.
+	q8    *ann.Quantized8Ensemble
+	q8s   *ann.Quant8Scratch
 	qxs   []int16
 	qtail []int16
+	// ref holds the float64 reference's buffers otherwise.
+	ref   *ann.BatchPredictScratch
 	xs    []float64 // block-sample-major encoded features
 	raw   []float64 // raw ensemble outputs for one block
 	block int
 }
 
-// NewBatchScratch allocates batch-prediction buffers for the model's
-// selected engine. On a view with level tables (a bound int16 view, see
-// WithEngine) it holds a scorer over them instead of block buffers; the
-// view's first call builds the merged rows its scorers share.
+// NewBatchScratch allocates batch-prediction buffers for the view's
+// predict path (see predictPathOf). A scratch of a view that scores from
+// level tables holds a scorer over them; the view's first such scratch
+// builds its screen and tables, and the others share them. Block buffers
+// are allocated by the first PredictIndices, sized to its call.
 func (m *Model) NewBatchScratch() *BatchScratch {
-	if m.levels != nil {
-		r := m.rows
-		r.once.Do(func() { r.tables = m.levels.ScoreTables() })
-		return &BatchScratch{score: r.tables.NewScorer(), e: m.engine}
+	switch m.path {
+	case predictLevels:
+		if t := m.screen.tables(m); t != nil {
+			return &BatchScratch{score: t.NewScorer()}
+		}
+	case predictInt8:
+		return &BatchScratch{q8: m.q8, qtail: m.schema.QuantizeTailQ14(m.tail, nil)}
 	}
-	return m.newBatchScratchFor(m.eng())
+	return new(BatchScratch)
 }
 
-// needBlocks gives a scorer scratch its block buffers the first time
-// PredictBatchWith runs the engine's forward pass through it.
-func (s *BatchScratch) needBlocks(m *Model) {
-	if s.block == 0 {
-		score := s.score
-		*s = *m.newBatchScratchFor(s.e)
-		s.score = score
+// fit sizes s's block buffers for a call of n configurations: on first
+// use to n, at most one block, so a call for one configuration pays for
+// one; a later, larger call grows them to a full block.
+func (s *BatchScratch) fit(m *Model, n int) {
+	if n <= s.block {
+		return
 	}
-}
-
-// newBatchScratchFor allocates a scratch pinned to the given engine; the
-// top-M sweep builds one for the exact reference scorer.
-func (m *Model) newBatchScratchFor(eng ann.Engine) *BatchScratch {
-	s := &BatchScratch{
-		eng:   eng.NewScratch(predictBlock),
-		e:     eng,
-		xs:    make([]float64, 0, predictBlock*m.schema.Dim()),
-		raw:   make([]float64, predictBlock),
-		block: predictBlock,
+	if s.block > 0 || n > predictBlock {
+		n = predictBlock
 	}
-	if q, ok := eng.(ann.Q14Engine); ok {
-		s.q14 = q
-		s.qxs = make([]int16, 0, predictBlock*m.schema.Dim())
-		if m.Bound() {
-			s.qtail = m.schema.QuantizeTailQ14(m.tail, make([]int16, 0, m.schema.TailDim()))
-		}
+	s.block = n
+	s.raw = make([]float64, n)
+	if s.q8 != nil {
+		s.q8s = s.q8.NewQuant8Scratch(n)
+		s.qxs = make([]int16, 0, n*m.schema.Dim())
+		return
 	}
-	return s
-}
-
-// PredictBatchWith predicts cfgs in blocks through s, appending the times
-// (in cfgs order, seconds) to dst. Under the float64 reference engine,
-// predictions are bit-identical to calling Predict per configuration;
-// under any other engine they are within the engine's proven error bound
-// of that (on the raw output, before the log/scale inversion).
-func (m *Model) PredictBatchWith(cfgs []tuning.Config, s *BatchScratch, dst []float64) []float64 {
-	s.needBlocks(m)
-	for lo := 0; lo < len(cfgs); lo += s.block {
-		hi := lo + s.block
-		if hi > len(cfgs) {
-			hi = len(cfgs)
-		}
-		s.xs = s.xs[:0]
-		for _, cfg := range cfgs[lo:hi] {
-			s.xs = m.schema.Encode(cfg, m.tail, s.xs)
-		}
-		dst = m.predictEncodedBlock(hi-lo, s, dst)
-	}
-	return dst
+	s.ref = m.ensemble.NewBatchScratch(n)
+	s.xs = make([]float64, 0, n*m.schema.Dim())
 }
 
 // PredictIndices predicts the configurations at the given space indices
 // in blocks through s, appending the times to dst. It encodes straight
 // from the dense indices (tuning.Encoder.EncodeIndex — Q14 tables for
-// the quantised engines), so the sweep never materialises a Config: the
+// the int8 pass), so the sweep never materialises a Config: the
 // allocation-free primitive behind TopM. A scorer scratch skips the
 // encode too and scores each index from the level tables. Under the
-// reference engine, predictions are bit-identical to
-// Predict(space.At(idx)).
+// reference, predictions are bit-identical to Predict(space.At(idx)).
 func (m *Model) PredictIndices(idxs []int64, s *BatchScratch, dst []float64) []float64 {
 	if s.score != nil {
 		for _, idx := range idxs {
@@ -425,38 +428,26 @@ func (m *Model) PredictIndices(idxs []int64, s *BatchScratch, dst []float64) []f
 		}
 		return dst
 	}
+	s.fit(m, len(idxs))
 	for lo := 0; lo < len(idxs); lo += s.block {
-		hi := lo + s.block
-		if hi > len(idxs) {
-			hi = len(idxs)
-		}
-		n := hi - lo
-		if s.q14 != nil {
+		hi := min(lo+s.block, len(idxs))
+		raw := s.raw[:hi-lo]
+		if s.q8 != nil {
 			s.qxs = s.qxs[:0]
 			for _, idx := range idxs[lo:hi] {
 				s.qxs = m.schema.EncodeIndexQ14(idx, s.qtail, s.qxs)
 			}
-			s.q14.PredictBatchQ14(s.qxs, n, s.eng, s.raw[:n])
-			for _, y := range s.raw[:n] {
-				dst = append(dst, m.finish(y))
+			s.q8.PredictBatchQ14(s.qxs, len(raw), s.q8s, raw)
+		} else {
+			s.xs = s.xs[:0]
+			for _, idx := range idxs[lo:hi] {
+				s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
 			}
-			continue
+			m.ensemble.PredictBatch(s.xs, len(raw), s.ref, raw)
 		}
-		s.xs = s.xs[:0]
-		for _, idx := range idxs[lo:hi] {
-			s.xs = m.schema.EncodeIndex(idx, m.tail, s.xs)
+		for _, y := range raw {
+			dst = append(dst, m.finish(y))
 		}
-		dst = m.predictEncodedBlock(n, s, dst)
-	}
-	return dst
-}
-
-// predictEncodedBlock runs the count samples encoded in s.xs through the
-// scratch's engine and appends the finished times to dst.
-func (m *Model) predictEncodedBlock(count int, s *BatchScratch, dst []float64) []float64 {
-	s.e.PredictBatch(s.xs, count, s.eng, s.raw[:count])
-	for _, y := range s.raw[:count] {
-		dst = append(dst, m.finish(y))
 	}
 	return dst
 }
@@ -537,21 +528,23 @@ func (m *Model) rawCeil(secs float64) float64 {
 	return y + 1e-9*(1+math.Abs(y))
 }
 
-// newScreen returns the int16 sweeper the top-M sweep screens through,
-// bracketed by the bound proven for this model's weights, space and
-// bound tail (ann.QuantizedEnsemble.NewSweeper), or nil when no screen
-// is sound: the quantiser refuses the model, or a tail feature leaves
-// the input domain the int16 error bound is proven on. A layout the
-// sweeper rejects only loses the screen.
+// newScreen returns the int16 sweeper the view's top-M sweeps screen
+// through, bracketed by the bound proven for this model's weights, space
+// and bound tail (ann.QuantizedEnsemble.NewSweeper), or nil when no
+// screen is sound: the view is unbound, the quantiser refuses the model,
+// or a tail feature leaves the input domain the int16 error bound is
+// proven on. A layout the sweeper rejects only loses the screen. It
+// reuses the view's int16 engine and otherwise quantises the weights.
 func (m *Model) newScreen() *ann.QuantSweeper {
-	for _, v := range m.tail {
-		if !(v >= ann.QuantInputLo && v <= ann.QuantInputHi) {
+	if !m.Bound() || !m.tailInDomain() {
+		return nil
+	}
+	q := m.q16
+	if q == nil {
+		var err error
+		if q, err = ann.QuantizeEnsemble(m.ensemble); err != nil {
 			return nil
 		}
-	}
-	q, err := m.int16Engine()
-	if err != nil {
-		return nil
 	}
 	s, err := q.NewSweeper(m.ensemble, m.schema.Levels(), m.tail)
 	if err != nil {
@@ -691,14 +684,12 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 	// sweeper whatever the view's engine; its bracket contains the
 	// reference prediction, so it cannot change the result set — only
 	// how much of the space pays an exact score. Without a screen every
-	// configuration is scored exactly. A bound int16 view already holds
-	// its screen (levels); the sweep works on a fork of it, so that
-	// concurrent sweeps of one view share no sweeper state.
-	screen := m.levels
+	// configuration is scored exactly. The sweep works on a fork of the
+	// view's screen, so that concurrent sweeps of one view share no
+	// sweeper state.
+	screen := m.screen.sweeper(m)
 	if screen != nil {
 		screen = screen.Fork()
-	} else {
-		screen = m.newScreen()
 	}
 	prune := screen != nil && m.canPrune()
 	var units []sweepUnit
@@ -739,16 +730,16 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			exact := m.newRefBatchScratch()
+			exact := new(BatchScratch)
 			var sweep *ann.QuantSweeper
 			if prune {
 				sweep = screen.Fork()
 			}
-			idxs := make([]int64, 0, exact.block)
-			preds := make([]float64, 0, exact.block)
-			lb := make([]float64, exact.block)
-			ub := make([]float64, exact.block)
-			survivors := make([]int64, 0, exact.block)
+			idxs := make([]int64, 0, window)
+			preds := make([]float64, 0, window)
+			lb := make([]float64, window)
+			ub := make([]float64, window)
+			survivors := make([]int64, 0, window)
 			var mine []sweepUnit
 			if units == nil {
 				lo := int64(w) * chunk
@@ -864,12 +855,6 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		scored += c
 	}
 	return merged, scored
-}
-
-// PredictBatch predicts the times of the given configurations, in order,
-// through the blocked batch engine.
-func (m *Model) PredictBatch(cfgs []tuning.Config) []float64 {
-	return m.PredictBatchWith(cfgs, m.NewBatchScratch(), make([]float64, 0, len(cfgs)))
 }
 
 // topHeap keeps the M smallest offered items (in Predicted.less order)

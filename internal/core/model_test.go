@@ -147,8 +147,8 @@ func trainedTestModel(t testing.TB) *Model {
 }
 
 // TestPredictBatchBitIdenticalToScalar is the tentpole property test: the
-// blocked batch engine (configs, indices, and the deprecated PredictBatch
-// helper) returns bit-for-bit what scalar Predict returns.
+// blocked batch path (PredictIndices) returns bit-for-bit what scalar
+// Predict returns.
 func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
 	m := trainedTestModel(t)
 	space := m.Space()
@@ -167,16 +167,8 @@ func TestPredictBatchBitIdenticalToScalar(t *testing.T) {
 		want[i] = m.Predict(cfg, scalar)
 	}
 
-	byCfg := m.PredictBatch(cfgs)
-	byCfgWith := m.PredictBatchWith(cfgs, m.NewBatchScratch(), nil)
 	byIdx := m.PredictIndices(idxs, m.NewBatchScratch(), nil)
 	for i := range want {
-		if byCfg[i] != want[i] {
-			t.Fatalf("PredictBatch[%d] = %v, scalar %v", i, byCfg[i], want[i])
-		}
-		if byCfgWith[i] != want[i] {
-			t.Fatalf("PredictBatchWith[%d] = %v, scalar %v", i, byCfgWith[i], want[i])
-		}
 		if byIdx[i] != want[i] {
 			t.Fatalf("PredictIndices[%d] = %v, scalar %v", i, byIdx[i], want[i])
 		}

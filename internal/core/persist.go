@@ -278,7 +278,7 @@ func LoadModelBytes(data []byte, _ ...any) (*Model, error) {
 		ensemble:       d.ensemble,
 		scaler:         d.scaler,
 		logT:           hdr.LogTransform,
-		engine:         ann.Float64Engine{E: d.ensemble},
+		screen:         new(viewScreen),
 		persistVersion: hdr.Version,
 	}
 	if err := m.checkEnsembleWidth(); err != nil {

@@ -158,7 +158,7 @@ func TestGoldenV1ModelBitIdentical(t *testing.T) {
 		}
 	}
 	// The batched engine must agree with the scalar golden path too.
-	batch := model.PredictBatch([]tuning.Config{space.At(preds[0].Index)})
+	batch := model.PredictIndices([]int64{preds[0].Index}, model.NewBatchScratch(), nil)
 	if wantBits, _ := strconv.ParseUint(preds[0].Bits, 16, 64); math.Float64bits(batch[0]) != wantBits {
 		t.Errorf("batched prediction diverges from golden: %v", batch[0])
 	}

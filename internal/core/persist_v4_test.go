@@ -150,20 +150,19 @@ func checkInt16FromWeights(t testing.TB, m *Model, fresh *ann.QuantizedEnsemble)
 	if err != nil {
 		t.Fatalf("the quantiser accepts the weights, WithEngine(int16) refuses them: %v", err)
 	}
-	if got, want := view.EngineErrorBound(), fresh.ErrorBound(); got != want {
+	if got, want := view.q16.ErrorBound(), fresh.ErrorBound(); got != want {
 		t.Fatalf("int16 view bound %g, quantising the weights gives %g", got, want)
 	}
 	rng := rand.New(rand.NewSource(3))
 	const count = 8
-	xs := make([]float64, fresh.InputDim()*count)
-	for i := range xs {
-		xs[i] = ann.QuantInputLo + rng.Float64()*(ann.QuantInputHi-ann.QuantInputLo)
+	qxs := make([]int16, fresh.InputDim()*count)
+	for i := range qxs {
+		qxs[i] = ann.QuantizeQ14(ann.QuantInputLo + rng.Float64()*(ann.QuantInputHi-ann.QuantInputLo))
 	}
 	got := make([]float64, count)
 	want := make([]float64, count)
-	eng := view.eng()
-	eng.PredictBatch(xs, count, eng.NewScratch(count), got)
-	fresh.PredictBatch(xs, count, fresh.NewScratch(count), want)
+	view.q16.PredictBatchQ14(qxs, count, view.q16.NewQuantScratch(count), got)
+	fresh.PredictBatchQ14(qxs, count, fresh.NewQuantScratch(count), want)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("sample %d: int16 view predicts %v, quantising the weights %v", i, got[i], want[i])
@@ -299,7 +298,6 @@ func benchInstallModel(b *testing.B, members, hidden int) *Model {
 		ensemble: ensemble,
 		scaler:   ann.TargetScaler{Mean: -5, Std: 1},
 		logT:     true,
-		engine:   ann.Float64Engine{E: ensemble},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/ann"
 	"repro/internal/hashx"
 )
 
@@ -123,8 +122,7 @@ func (m *Model) topMIncremental(M, workers int, prev *TopMResult) *TopMResult {
 		}
 		// Exact re-score of the previous champions under the current
 		// model; these are real scores, so they can seed every heap.
-		ref := m.newRefBatchScratch()
-		vals := m.PredictIndices(idxs, ref, make([]float64, 0, len(idxs)))
+		vals := m.PredictIndices(idxs, new(BatchScratch), make([]float64, 0, len(idxs)))
 		seeds = make([]Predicted, len(idxs))
 		for i, v := range vals {
 			seeds[i] = Predicted{Index: idxs[i], Seconds: v}
@@ -154,10 +152,4 @@ func (m *Model) seedable(prev *TopMResult) bool {
 		}
 	}
 	return true
-}
-
-// newRefBatchScratch builds a scratch pinned to the exact reference
-// engine regardless of the model's selected engine.
-func (m *Model) newRefBatchScratch() *BatchScratch {
-	return m.newBatchScratchFor(ann.Float64Engine{E: m.ensemble})
 }

@@ -37,12 +37,6 @@ func TestTopMEngineSetIdentity(t *testing.T) {
 	for _, name := range ann.EngineNames() {
 		t.Run(name, func(t *testing.T) {
 			q := engineView(t, m, name)
-			if q.EngineName() != name {
-				t.Fatalf("EngineName() = %q", q.EngineName())
-			}
-			if name != ann.EngineFloat64 && q.EngineErrorBound() <= 0 {
-				t.Fatalf("%s engine reports error bound %g", name, q.EngineErrorBound())
-			}
 			for workers := 1; workers <= 8; workers++ {
 				got := q.topM(M, workers)
 				if len(got) != M {
@@ -488,7 +482,7 @@ func withEnsemble(t *testing.T, m *Model, edit func(st *ann.EnsembleState)) *Mod
 		t.Fatal(err)
 	}
 	out := *m
-	out.ensemble, out.engine = e, ann.Float64Engine{E: e}
+	out.ensemble, out.screen = e, new(viewScreen)
 	return &out
 }
 

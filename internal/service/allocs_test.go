@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/devsim"
 	"repro/internal/storage"
+	"repro/internal/tuning"
 )
 
 // TestServePathAllocs pins the allocations of the serve path on a
@@ -90,5 +91,73 @@ func TestServePathAllocs(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: %.2f allocations per call, pinned at %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestInlineDescriptorPredictBytes bounds the memory one inline-descriptor
+// prediction allocates. Such a request binds the portable model afresh
+// and predicts through a throwaway scratch, so the scratch's block
+// buffers must be sized to the request: one configuration of a portable
+// convolution model of the paper's shape (11 members × 30 hidden), not a
+// 256-configuration block per member. Pinned on amd64 without -race,
+// like TestServePathAllocs.
+func TestInlineDescriptorPredictBytes(t *testing.T) {
+	if runtime.GOARCH != "amd64" || raceEnabled {
+		t.Skip("allocation figures are pinned on amd64 without -race")
+	}
+	b := bench.MustLookup("convolution")
+	space := b.Space()
+	var samples []core.Sample
+	for i, name := range []string{devsim.IntelI7, devsim.NvidiaK40} {
+		dev := devsim.MustLookup(name)
+		meas, err := core.NewSimMeasurer(b, dev, bench.Size{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc := dev.Descriptor()
+		vec := tuning.DeviceVector(&desc, nil)
+		for _, cfg := range space.Sample(rand.New(rand.NewSource(int64(7+i))), 100) {
+			if secs, err := meas.Measure(context.Background(), cfg); err == nil {
+				samples = append(samples, core.Sample{Config: cfg, Seconds: secs, Device: vec})
+			}
+		}
+	}
+	mc := core.DefaultModelConfig(7) // paper defaults: k=11, hidden=30
+	mc.Ensemble.Train.Epochs = 5
+	mc.DeviceFeatures = true
+	m, err := core.TrainModel(space, samples, nil, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegistry(storage.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Put(ModelKey{Benchmark: "convolution", Device: PortableDevice}, m); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, reg, 1, 2, WithEngine(ann.EngineInt16))
+	desc := devsim.MustLookup(devsim.NvidiaGTX980).Descriptor()
+	desc.Name = "Hypothetical GPU X"
+	desc.ComputeUnits = 24
+	predict := func(idx int64) {
+		req := PredictRequest{Benchmark: "convolution", Descriptor: &desc, HasIndex: true, Index: idx}
+		if _, err := srv.Predict(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict(0)
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < calls; i++ {
+		predict(i * 613 % space.Size())
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 32 << 10
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > limit {
+		t.Errorf("inline-descriptor Predict allocates %d bytes per call, bound %d", perCall, limit)
+	} else {
+		t.Logf("inline-descriptor Predict allocates %d bytes per call", perCall)
 	}
 }
