@@ -445,11 +445,13 @@ func BenchmarkConvolutionTopMBatched(b *testing.B) {
 	b.ReportMetric(float64(exact), "exact/op")
 }
 
-var (
-	rayModelOnce sync.Once
-	rayModel     *core.Model
-	rayModelErr  error
-)
+// rayFixtures holds the raycasting cold fixtures, built once each:
+// seed 201, then seed 202.
+var rayFixtures [2]struct {
+	once sync.Once
+	m    *core.Model
+	err  error
+}
 
 // raycastingModel builds the model of the raycasting cold top-M
 // workload the way the benchmark's cold fixtures do: a paper-topology
@@ -457,19 +459,24 @@ var (
 // valid simulated Intel i7 measurements of a seed-201 sample, saved and
 // reloaded from bytes, so the sweep screens through the loaded v4 int16
 // tables as a served model does.
-func raycastingModel(b testing.TB) *core.Model {
+func raycastingModel(b testing.TB) *core.Model { return raycastingFixture(b, 201) }
+
+// raycastingFixture builds the raycasting cold fixture of seed 201 or
+// 202, as raycastingModel describes.
+func raycastingFixture(b testing.TB, seed int64) *core.Model {
 	b.Helper()
-	rayModelOnce.Do(func() {
+	fx := &rayFixtures[seed-201]
+	fx.once.Do(func() {
 		bm := bench.MustLookup("raycasting")
 		meas, err := core.NewSimMeasurer(bm, devsim.MustLookup(devsim.IntelI7), bench.Size{}, 0)
 		if err != nil {
-			rayModelErr = err
+			fx.err = err
 			return
 		}
 		space := bm.Space()
 		var samples []core.Sample
 		var invalid []tuning.Config
-		for _, idx := range space.SampleIndices(rand.New(rand.NewSource(201)), 8*200) {
+		for _, idx := range space.SampleIndices(rand.New(rand.NewSource(seed)), 8*200) {
 			if len(samples) == 200 {
 				break
 			}
@@ -479,30 +486,30 @@ func raycastingModel(b testing.TB) *core.Model {
 			case devsim.IsInvalid(err):
 				invalid = append(invalid, cfg)
 			case err != nil:
-				rayModelErr = err
+				fx.err = err
 				return
 			default:
 				samples = append(samples, core.Sample{Config: cfg, Seconds: secs})
 			}
 		}
-		mc := core.DefaultModelConfig(201)
+		mc := core.DefaultModelConfig(seed)
 		mc.Ensemble.Train.Epochs = 200
 		m, err := core.TrainModel(space, samples, invalid, mc)
 		if err != nil {
-			rayModelErr = err
+			fx.err = err
 			return
 		}
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
-			rayModelErr = err
+			fx.err = err
 			return
 		}
-		rayModel, rayModelErr = core.LoadModelBytes(buf.Bytes())
+		fx.m, fx.err = core.LoadModelBytes(buf.Bytes())
 	})
-	if rayModelErr != nil {
-		b.Fatal(rayModelErr)
+	if fx.err != nil {
+		b.Fatal(fx.err)
 	}
-	return rayModel
+	return fx.m
 }
 
 // BenchmarkRaycastingTopMCold is the cold top-200 sweep over the
@@ -515,6 +522,24 @@ func BenchmarkRaycastingTopMCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := m.TopM(200); len(got) != 200 {
+			b.Fatal("short result")
+		}
+	}
+	b.ReportMetric(float64(exact), "exact/op")
+}
+
+// BenchmarkRaycastingTopMSeeded is the swap's sweep: the top-200 of the
+// seed-202 raycasting cold fixture, seeded from the seed-201 fixture's
+// top-200 as a swap from one to the other seeds it. It reports the
+// sweep's exact forward passes (exact/op), the 200 seed re-scores
+// included.
+func BenchmarkRaycastingTopMSeeded(b *testing.B) {
+	prev := raycastingFixture(b, 201).TopMIncremental(200, nil)
+	m := raycastingFixture(b, 202)
+	exact := m.TopMIncremental(200, prev).Scored
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := m.TopMIncremental(200, prev); len(got.Top) != 200 {
 			b.Fatal("short result")
 		}
 	}
@@ -537,8 +562,8 @@ func TestTopMScoredPins(t *testing.T) {
 		model func(testing.TB) *core.Model
 		want  [2]int64 // workers 1 and 2
 	}{
-		{"raycasting", raycastingModel, [2]int64{2069, 3749}},
-		{"convolution", convolutionModel, [2]int64{1386, 2432}},
+		{"raycasting", raycastingModel, [2]int64{834, 1348}},
+		{"convolution", convolutionModel, [2]int64{775, 1429}},
 	} {
 		m := c.model(t)
 		for w, want := range c.want {

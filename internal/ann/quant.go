@@ -43,7 +43,7 @@ import (
 // That is the engine's ErrorBound: a worst case over every input in the
 // domain. A full-space sweep knows its inputs — input i takes only the
 // levels x_i(v) of one parameter, with Q14 images xq_i(v), or one fixed
-// tail value — so NewSweeper proves a narrower sweep bound from the
+// tail value — so NewOrderedSweeper proves a narrower sweep bound from the
 // same error sources, evaluated on the actual weights (w, b float64;
 // wq, bq int16 at scales k and k₂) instead of their rounding limits:
 //

@@ -16,8 +16,15 @@ import (
 //
 // The space is the cross product of P positions, position p taking
 // arity_p discrete levels; index digits decode most-significant-first
-// with the last position varying fastest (the layout of
-// tuning.Space.At). Each level of each position contributes a fixed
+// with the last position varying fastest. The positions are the
+// sweeper's own, in its sweep order (SweepOrder): sweeper position p is
+// the space's position perm[p], and every index Bounds, BoundsCeil and
+// Floor take or report is a *sweep index*, numbered in that order. A
+// sweeper from NewIndexSweeper walks the declaration order, so its sweep
+// indices are the *space indices* of tuning.Space.At; the top-M screen
+// walks the fewest-level positions slowest and maps what it keeps back
+// to space indices. ScoreTables and IndexScorer always take space
+// indices. Each level of each position contributes a fixed
 // vector to every first-layer accumulator — w_j,p · x_p(level), at the
 // member's own weight scale — so the sweeper keeps one prefix-sum row
 // per position except the last:
@@ -64,7 +71,7 @@ import (
 // already computed (see BoundsCeil).
 //
 // The bracket half-width is the engine's ErrorBound for a sweeper from
-// NewIndexSweeper. NewSweeper instead proves one for the sweep's own
+// NewIndexSweeper. NewOrderedSweeper instead proves one for the sweep's own
 // inputs (sweepBound), the worst case over the space's levels rather
 // than over any input in [QuantInputLo, QuantInputHi]. Per member, with
 // the float64 weights w, b and the int16 tables wq, bq at scales k, k₂
@@ -84,7 +91,7 @@ import (
 type QuantSweeper struct {
 	q *QuantizedEnsemble
 	// bound is the bracket half-width Bounds, BoundsCeil and Floor
-	// widen by: the engine's ErrorBound, or a sweep bound (NewSweeper).
+	// widen by: the engine's ErrorBound, or a sweep bound (NewOrderedSweeper).
 	bound float64
 	// contrib[p][v*H+j] is level v of position p's contribution to slot
 	// j's accumulator (at the owning member's layer-0 scale).
@@ -148,8 +155,17 @@ type QuantSweeper struct {
 // len(levels[p]) levels with the given Q14 feature values, followed by
 // the fixed Q14 tail features (nil for parameter-only models). The
 // feature layout must match the ensemble's input width: positions first,
-// tail after — the layout of tuning.FeatureSchema.EncodeIndexQ14.
+// tail after — the layout of tuning.FeatureSchema.EncodeIndexQ14. The
+// sweeper walks the positions in declaration order: its sweep indices
+// are space indices.
 func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*QuantSweeper, error) {
+	return q.newSweeper(levels, tail, nil)
+}
+
+// newSweeper builds a sweeper that walks the space's positions in order
+// (nil walks them in declaration order): its position p is the space's
+// position order.perm[p], so contrib[p] comes from that input column.
+func (q *QuantizedEnsemble) newSweeper(levels [][]int16, tail []int16, order *SweepOrder) (*QuantSweeper, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("ann: sweeper needs at least one position")
 	}
@@ -158,6 +174,16 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 			got, len(levels), len(tail), q.inDim)
 	}
 	P := len(levels)
+	col := make([]int, P) // col[p]: the input column sweep position p reads
+	for p := range col {
+		col[p] = p
+	}
+	if order != nil {
+		if len(order.perm) != P {
+			return nil, fmt.Errorf("ann: sweep order over %d positions, space has %d", len(order.perm), P)
+		}
+		copy(col, order.perm)
+	}
 	s := &QuantSweeper{
 		q:        q,
 		arity:    make([]int64, P),
@@ -169,11 +195,15 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 		terms:    make([]float64, len(q.members)),
 		noFloors: make([]float64, len(q.members)),
 	}
-	for p, lv := range levels {
+	for p, c := range col {
+		lv := levels[c]
 		if len(lv) == 0 {
-			return nil, fmt.Errorf("ann: sweeper position %d has no levels", p)
+			return nil, fmt.Errorf("ann: sweeper position %d has no levels", c)
 		}
 		s.arity[p] = int64(len(lv))
+		if order != nil && order.arity[p] != s.arity[p] {
+			return nil, fmt.Errorf("ann: sweep order gives position %d %d levels, space has %d", c, order.arity[p], s.arity[p])
+		}
 		if s.size > (1<<62)/s.arity[p] {
 			return nil, fmt.Errorf("ann: sweeper space size overflows")
 		}
@@ -203,9 +233,9 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 				acc += int64(l0.w[j*l0.in+P+t]) * int64(tv)
 			}
 			s.base[off+j] = acc
-			for p := 0; p < P; p++ {
-				w := int64(l0.w[j*l0.in+p])
-				for v, lv := range levels[p] {
+			for p, c := range col {
+				w := int64(l0.w[j*l0.in+c])
+				for v, lv := range levels[c] {
 					s.contrib[p][v*s.H+off+j] = w * int64(lv)
 				}
 			}
@@ -219,20 +249,23 @@ func (q *QuantizedEnsemble) NewIndexSweeper(levels [][]int16, tail []int16) (*Qu
 	return s, nil
 }
 
-// NewSweeper builds the sweeper the top-M sweep screens through: the
-// space's positions take the float64 feature levels levels[p], followed
-// by the fixed float64 tail features, each quantised exactly as
-// QuantizeQ14 (the rounding of tuning.Encoder's Q14 tables). Its bracket
-// is the sweep bound proven from these inputs and ref, the float64
-// ensemble the engine was quantised from and the exact pass scores with
-// (see sweepBound); it is never wider than ErrorBound.
-func (q *QuantizedEnsemble) NewSweeper(ref *Ensemble, levels [][]float64, tail []float64) (*QuantSweeper, error) {
+// NewOrderedSweeper builds the sweeper the top-M sweep screens through,
+// walking the space's positions in order (nil: declaration order): the
+// space's positions take the float64 feature levels levels[p], in
+// declaration order, followed by the fixed float64 tail features, each
+// quantised exactly as QuantizeQ14 (the rounding of tuning.Encoder's Q14
+// tables). Its bracket is the sweep bound proven from these inputs and
+// ref, the float64 ensemble the engine was quantised from and the exact
+// pass scores with (see sweepBound), column by column in declaration
+// order, so it does not depend on the order; it is never wider than
+// ErrorBound.
+func (q *QuantizedEnsemble) NewOrderedSweeper(ref *Ensemble, levels [][]float64, tail []float64, order *SweepOrder) (*QuantSweeper, error) {
 	qlevels := make([][]int16, len(levels))
 	for p, lv := range levels {
 		qlevels[p] = quantizeQ14All(lv)
 	}
 	qtail := quantizeQ14All(tail)
-	s, err := q.NewIndexSweeper(qlevels, qtail)
+	s, err := q.newSweeper(qlevels, qtail, order)
 	if err != nil {
 		return nil, err
 	}
@@ -414,9 +447,28 @@ type rowGroup struct {
 // times the size of the level tables they merge.
 const maxMergedLevels = 16
 
-// ScoreTables builds s's merged level rows (see ScoreTables). It only
-// reads s.
-func (s *QuantSweeper) ScoreTables() *ScoreTables {
+// ScoreTables builds s's merged level rows (see ScoreTables) over space
+// indices: order is the sweep order s was built with (nil for
+// declaration order), and the tables hold s's level rows renumbered back
+// to declaration order, so a scorer decodes, merges and finishes exactly
+// as over a sweeper built in declaration order. It only reads s, and
+// panics if order does not match s.
+func (s *QuantSweeper) ScoreTables(order *SweepOrder) *ScoreTables {
+	if order != nil {
+		if len(order.perm) != len(s.arity) {
+			panic("ann: sweep order does not match the sweeper")
+		}
+		space := *s // only scores: never walks, so its walk state stays unused
+		space.arity = order.spaceArity
+		space.contrib = make([][]int64, len(s.contrib))
+		for p, c := range order.perm {
+			if order.arity[p] != s.arity[p] {
+				panic("ann: sweep order does not match the sweeper")
+			}
+			space.contrib[c] = s.contrib[p]
+		}
+		s = &space
+	}
 	H := s.H
 	t := &ScoreTables{s: s}
 	for lo := 0; lo < len(s.arity)-1; {

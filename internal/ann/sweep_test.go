@@ -367,7 +367,7 @@ func splitSpace(rng *rand.Rand, dim, positions int) sweepSpace {
 }
 
 // NewScorer returns a scorer over tables built for it alone.
-func (s *QuantSweeper) NewScorer() *IndexScorer { return s.ScoreTables().NewScorer() }
+func (s *QuantSweeper) NewScorer() *IndexScorer { return s.ScoreTables(nil).NewScorer() }
 
 // mergeArityCases are position arities that reach every way ScoreTables
 // groups positions: runs that merge, up to the cap exactly; a run whose

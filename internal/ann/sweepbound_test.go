@@ -37,6 +37,12 @@ func floatSweepLevels(rng *rand.Rand, positions, tailLen int) (levels [][]float6
 	return levels, tail
 }
 
+// NewSweeper builds the sweeper NewOrderedSweeper builds in declaration
+// order.
+func (q *QuantizedEnsemble) NewSweeper(ref *Ensemble, levels [][]float64, tail []float64) (*QuantSweeper, error) {
+	return q.NewOrderedSweeper(ref, levels, tail, nil)
+}
+
 // checkSweepContainment builds NewSweeper over levels and tail and
 // checks its contract on every configuration of the space: the sweep
 // bound is no wider than the engine's ErrorBound, and the bracket

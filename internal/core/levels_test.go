@@ -99,7 +99,7 @@ func TestInt16ViewScoresFromLevels(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			view := c.view
 			space := view.Space()
-			if view.screen.sweeper(view) == nil {
+			if sw, _ := view.screen.sweeper(view); sw == nil {
 				t.Fatal("bound int16 view has no level tables")
 			}
 			idxs := make([]int64, space.Size())

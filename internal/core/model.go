@@ -166,34 +166,40 @@ func (m *Model) tailInDomain() bool {
 	return true
 }
 
-// viewScreen is a view's top-M screen and the merged level rows
-// (ann.ScoreTables) its int16 scorers sum, each built once, on first
-// use, and read-only after.
+// viewScreen is a view's top-M screen, the sweep order it walks and the
+// merged level rows (ann.ScoreTables) its int16 scorers sum, each built
+// once, on first use, and read-only after.
 type viewScreen struct {
 	once  sync.Once
 	sweep *ann.QuantSweeper
+	order *ann.SweepOrder
+	// perm, when set before first use, replaces sweepPerm's order; tests
+	// force orders through it.
+	perm []int
 	// rowsOnce builds rows from sweep, for the first scratch that scores
 	// from it; top-M sweeps never build it.
 	rowsOnce sync.Once
 	rows     *ann.ScoreTables
 }
 
-// sweeper returns m's screen, building it on first use; nil when no
-// screen is sound (see newScreen). Sweeps fork it, so one view's
-// concurrent sweeps share no sweeper state.
-func (h *viewScreen) sweeper(m *Model) *ann.QuantSweeper {
+// sweeper returns m's screen and the order it walks the space in,
+// building both on first use; nil when no screen is sound (see
+// newScreen). Sweeps fork it, so one view's concurrent sweeps share no
+// sweeper state.
+func (h *viewScreen) sweeper(m *Model) (*ann.QuantSweeper, *ann.SweepOrder) {
 	if h == nil {
 		h = new(viewScreen)
 	}
-	h.once.Do(func() { h.sweep = m.newScreen() })
-	return h.sweep
+	h.once.Do(func() { h.sweep, h.order = m.newScreen(h.perm) })
+	return h.sweep, h.order
 }
 
 // tables returns the merged level rows of m's screen, building both on
-// first use; nil when the view has no screen.
+// first use; nil when the view has no screen. They score space indices
+// whatever order the screen walks.
 func (h *viewScreen) tables(m *Model) *ann.ScoreTables {
-	if sweep := h.sweeper(m); sweep != nil {
-		h.rowsOnce.Do(func() { h.rows = sweep.ScoreTables() })
+	if sweep, order := h.sweeper(m); sweep != nil {
+		h.rowsOnce.Do(func() { h.rows = sweep.ScoreTables(order) })
 	}
 	return h.rows
 }
@@ -478,8 +484,9 @@ func (p Predicted) less(q Predicted) bool {
 // worker feeds a bounded top-heap, and only configurations whose
 // conservative lower bound could still beat the heap's worst entry pay
 // the exact reference forward pass. The sweep runs best-first: the
-// space's units (aligned subtrees of up to sweepUnitMax configurations)
-// are ranked by their screen floor and dealt round-robin by rank to the
+// space's units (aligned subtrees of up to sweepUnitMax configurations,
+// in the screen's sweep order, see sweepPerm) are ranked by their screen
+// floor and dealt round-robin by rank to the
 // workers, and each worker stops at the first of its units whose floor
 // cannot beat its full heap, so the ceiling tightens early, few
 // configurations survive to the exact pass, and the work is spread
@@ -529,28 +536,74 @@ func (m *Model) rawCeil(secs float64) float64 {
 }
 
 // newScreen returns the int16 sweeper the view's top-M sweeps screen
-// through, bracketed by the bound proven for this model's weights, space
-// and bound tail (ann.QuantizedEnsemble.NewSweeper), or nil when no
-// screen is sound: the view is unbound, the quantiser refuses the model,
-// or a tail feature leaves the input domain the int16 error bound is
-// proven on. A layout the sweeper rejects only loses the screen. It
-// reuses the view's int16 engine and otherwise quantises the weights.
-func (m *Model) newScreen() *ann.QuantSweeper {
+// through and the order it walks the space in (perm, or sweepPerm's when
+// perm is nil), bracketed by the bound proven for this model's weights,
+// space and bound tail (ann.QuantizedEnsemble.NewOrderedSweeper), or nil
+// when no screen is sound: the view is unbound, the quantiser refuses
+// the model, or a tail feature leaves the input domain the int16 error
+// bound is proven on. A layout the sweeper rejects only loses the
+// screen. It reuses the view's int16 engine and otherwise quantises the
+// weights.
+func (m *Model) newScreen(perm []int) (*ann.QuantSweeper, *ann.SweepOrder) {
 	if !m.Bound() || !m.tailInDomain() {
-		return nil
+		return nil, nil
 	}
 	q := m.q16
 	if q == nil {
 		var err error
 		if q, err = ann.QuantizeEnsemble(m.ensemble); err != nil {
-			return nil
+			return nil, nil
 		}
 	}
-	s, err := q.NewSweeper(m.ensemble, m.schema.Levels(), m.tail)
-	if err != nil {
-		return nil
+	if perm == nil {
+		perm = m.sweepPerm()
 	}
-	return s
+	order, err := ann.NewSweepOrder(spaceArity(m.space), perm)
+	if err != nil {
+		return nil, nil
+	}
+	s, err := q.NewOrderedSweeper(m.ensemble, m.schema.Levels(), m.tail, order)
+	if err != nil {
+		return nil, nil
+	}
+	return s, order
+}
+
+// sweepPerm returns the order the top-M screen walks the parameters in,
+// outermost first: ascending arity, so that the fewest-level parameters
+// vary slowest, ties broken towards the greater weight influence
+// (ann.Ensemble.InputInfluence), and exact ties in declaration order. A
+// parameter with few levels, such as a code-path switch, splits the
+// space into a few regions of very different speed; varying slowest, it
+// lets one unit's floor rule out a whole region. The order depends only
+// on the space and the float64 weights, so every engine view and every
+// device binding of one model sweeps in the same order.
+func (m *Model) sweepPerm() []int {
+	arity := spaceArity(m.space)
+	infl := m.ensemble.InputInfluence()
+	perm := make([]int, len(arity))
+	for p := range perm {
+		perm[p] = p
+	}
+	sort.SliceStable(perm, func(i, j int) bool {
+		a, b := perm[i], perm[j]
+		if arity[a] != arity[b] {
+			return arity[a] < arity[b]
+		}
+		return infl[a] > infl[b]
+	})
+	return perm
+}
+
+// spaceArity returns the level count of each of the space's parameters,
+// in declaration order.
+func spaceArity(space *tuning.Space) []int64 {
+	params := space.Params()
+	arity := make([]int64, len(params))
+	for p, prm := range params {
+		arity[p] = int64(len(prm.Values))
+	}
+	return arity
 }
 
 // mustBeBound panics when a portable model is asked to predict without
@@ -583,27 +636,28 @@ type sweepUnit struct {
 }
 
 // unitSize returns the configuration count of the best-first sweep's
-// units: the largest digit-aligned subtree no larger than sweepUnitMax.
-func (m *Model) unitSize() int64 { return m.alignedSize(sweepUnitMax) }
+// units over positions of the given arities, in the order the sweep
+// walks them: the largest digit-aligned subtree no larger than
+// sweepUnitMax.
+func unitSize(arity []int64) int64 { return alignedSize(arity, sweepUnitMax) }
 
 // screenWindow returns the configuration count of the windows the sweep
-// screens a unit in: the largest digit-aligned subtree of at most
-// predictBlock configurations (160 on raycasting), so that no window
-// edge cuts a tile or a subtree the screen could check, or predictBlock
-// when the last parameter alone has more levels. Units are then whole
-// numbers of windows whenever the last parameter has at most
-// predictBlock levels.
-func (m *Model) screenWindow() int64 { return min(m.alignedSize(predictBlock), predictBlock) }
+// screens a unit in, over positions of the given arities in the order
+// the sweep walks them: the largest digit-aligned subtree of at most
+// predictBlock configurations (64 on raycasting, whose screen walks its
+// two 8-level sizes fastest), so that no window edge cuts a tile or a
+// subtree the screen could check, or predictBlock when the last position
+// alone has more levels. Units are then whole numbers of windows
+// whenever the last position has at most predictBlock levels.
+func screenWindow(arity []int64) int64 { return min(alignedSize(arity, predictBlock), predictBlock) }
 
 // alignedSize returns the configuration count of the largest
-// digit-aligned subtree — a product of the last parameters' arities, in
-// tuning.Space.At's layout — no larger than limit, and at least one
-// last-parameter tile.
-func (m *Model) alignedSize(limit int64) int64 {
-	params := m.space.Params()
-	n := int64(len(params[len(params)-1].Values))
-	for i := len(params) - 2; i >= 0 && n*int64(len(params[i].Values)) <= limit; i-- {
-		n *= int64(len(params[i].Values))
+// digit-aligned subtree — a product of the last positions' arities — no
+// larger than limit, and at least one last-position tile.
+func alignedSize(arity []int64, limit int64) int64 {
+	n := arity[len(arity)-1]
+	for i := len(arity) - 2; i >= 0 && n*arity[i] <= limit; i-- {
+		n *= arity[i]
 	}
 	return n
 }
@@ -651,6 +705,11 @@ func floorUnits(sweep *ann.QuantSweeper, n int64) []sweepUnit {
 // floor, splits the space into one contiguous partition per worker and
 // walks it in index order.
 //
+// A screened sweep walks sweep indices, in the order sweepPerm picks:
+// units, windows and the seed cursor are in sweep indices, and every
+// index the sweep scores exactly is mapped to its space index first, so
+// the heap, the ceiling and the answer never see a sweep index.
+//
 // Each unit is screened in windows (screenWindow) that start and end on
 // subtree boundaries, so the sweeper can check every tile before it
 // finishes the tile's configurations, and each failed check floors the
@@ -677,7 +736,6 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		workers = int(size)
 	}
 	chunk := (size + int64(workers) - 1) / int64(workers)
-	window := m.screenWindow()
 
 	// The heap only ever ranks exact scores, so the exact pass always
 	// runs the float64 reference. Screening runs through the int16
@@ -687,15 +745,21 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 	// configuration is scored exactly. The sweep works on a fork of the
 	// view's screen, so that concurrent sweeps of one view share no
 	// sweeper state.
-	screen := m.screen.sweeper(m)
+	screen, order := m.screen.sweeper(m)
 	if screen != nil {
 		screen = screen.Fork()
 	}
 	prune := screen != nil && m.canPrune()
+	// A screened sweep walks the screen's sweep indices, and maps every
+	// index it scores exactly back to its space index; an unscreened one
+	// walks the space indices themselves.
+	arity, spaceIdx := spaceArity(m.space), func(i int64) int64 { return i }
 	var units []sweepUnit
 	if prune {
-		units = floorUnits(screen, m.unitSize())
+		arity, spaceIdx = order.Arity(), order.SpaceIndex
+		units = floorUnits(screen, unitSize(arity))
 	}
+	window := screenWindow(arity)
 
 	// Seed indices are excluded from the scan below — each
 	// already sits in every heap with its exact score, and offering an
@@ -720,7 +784,11 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 		seedIdx = make([]int64, len(seeds))
 		for i, p := range seeds {
 			seedIdx[i] = p.Index
+			if prune {
+				seedIdx[i] = order.SweepIndex(p.Index)
+			}
 		}
+		sort.Slice(seedIdx, func(i, j int) bool { return seedIdx[i] < seedIdx[j] })
 	}
 
 	results := make([][]Predicted, workers)
@@ -758,9 +826,9 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 				if prune && best.full() && u.floor > m.rawCeil(best.worst().Seconds)+2*predictBoundMargin {
 					break
 				}
-				// seedIdx is sorted and a unit's indices are scanned in
-				// order, so one cursor skips the already-scored seeds in
-				// O(1) per index.
+				// seedIdx holds the seeds' walk indices, sorted, and a unit's
+				// indices are scanned in order, so one cursor skips the
+				// already-scored seeds in O(1) per index.
 				nextSeed := sort.Search(len(seedIdx), func(i int) bool { return seedIdx[i] >= u.lo })
 				for blockLo := u.lo; blockLo < u.hi; blockLo += window {
 					blockHi := min(blockLo+window, u.hi)
@@ -794,7 +862,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 								continue
 							}
 							if lb[k]-predictBoundMargin <= rawWorst {
-								survivors = append(survivors, idx)
+								survivors = append(survivors, spaceIdx(idx))
 							}
 						}
 						if len(survivors) == 0 {
@@ -813,7 +881,7 @@ func (m *Model) topMSweep(M, workers int, seeds []Predicted) ([]Predicted, int64
 							nextSeed++
 							continue
 						}
-						idxs = append(idxs, idx)
+						idxs = append(idxs, spaceIdx(idx))
 					}
 					if len(idxs) == 0 {
 						continue

@@ -310,11 +310,17 @@ func TestTopMScreenIsEngineIndependent(t *testing.T) {
 }
 
 // unitTestModel fits a small model (k=3, hidden 8) over a 32,768-point
-// space whose trailing parameters form 256-configuration units — the
-// next parameter's 16 levels would overshoot sweepUnitMax — so even
-// eight workers hold 16 units each, and the best-first order and the
-// early stop really engage. trainedTestModel's space is one unit.
-func unitTestModel(t testing.TB) *Model {
+// space whose trailing parameters form 256-configuration units in
+// declaration order — the next parameter's 16 levels would overshoot
+// sweepUnitMax — so even eight workers hold 16 units each, and the
+// best-first order and the early stop really engage. In the sweep order
+// the rule picks, the units hold 1,024 configurations.
+// trainedTestModel's space is one unit.
+func unitTestModel(t testing.TB) *Model { return unitTestModelSeed(t, 91) }
+
+// unitTestModelSeed is unitTestModel with the training seed given: two
+// seeds give two models over one space.
+func unitTestModelSeed(t testing.TB, seed int64) *Model {
 	t.Helper()
 	space := tuning.NewSpace("units",
 		tuning.Pow2Param("x", 1, 128), // 8
@@ -324,7 +330,7 @@ func unitTestModel(t testing.TB) *Model {
 		tuning.Pow2Param("w", 1, 8),      // 4
 		tuning.BoolParam("z"),            // 2
 	)
-	rng := rand.New(rand.NewSource(91))
+	rng := rand.New(rand.NewSource(seed))
 	samples := make([]Sample, 0, 300)
 	for _, cfg := range space.Sample(rng, 300) {
 		lx := math.Log2(float64(cfg.Value("x")))
@@ -336,7 +342,7 @@ func unitTestModel(t testing.TB) *Model {
 		}
 		samples = append(samples, Sample{Config: cfg, Seconds: secs})
 	}
-	mc := DefaultModelConfig(91)
+	mc := DefaultModelConfig(seed)
 	mc.Ensemble.K = 3
 	mc.Ensemble.Hidden = 8
 	mc.Ensemble.Train = ann.TrainConfig{Epochs: 60, LearningRate: 0.3, Momentum: 0.9, BatchSize: 8}
@@ -353,11 +359,12 @@ func unitTestModel(t testing.TB) *Model {
 // units' worth, cold and seeded sweeps — the seeds include the
 // worst-predicted configurations, which sit in units the early stop
 // skips — and a Scored that repeats exactly and shows the screen and
-// the early stop engaged.
+// the early stop engaged. The screen walks the declaration order, whose
+// units are the 256-configuration ones described at unitTestModel.
 func TestTopMBestFirstUnits(t *testing.T) {
-	m := unitTestModel(t)
+	m := inOrder(unitTestModel(t), identityPerm(6))
 	size := m.Space().Size()
-	if units := size / m.unitSize(); units < 16*8 {
+	if units := size / unitSize(spaceArity(m.space)); units < 16*8 {
 		t.Fatalf("%d units over %d configs: eight workers would hold fewer than 16 each", units, size)
 	}
 	all := bruteTopM(m, int(size))
@@ -427,11 +434,14 @@ func windowTestModel(t testing.TB, bools int, last tuning.Param) *Model {
 }
 
 // TestTopMScreenWindows pins the screen's window choice at its edges: a
-// last parameter of 5 levels under five booleans screens in the
-// 160-configuration subtree (5 does not divide 256), and a last
-// parameter of 300 levels, wider than a prediction block, falls back to
-// predictBlock windows that cut its tiles. Both sweeps return the
-// specification's answer at workers 1–3, screen, and repeat Scored
+// last parameter of 5 levels under five booleans screens, in declaration
+// order, in the 160-configuration subtree (5 does not divide 256); in
+// the sweep order the rule picks, the booleans and then the 5-level
+// parameter vary slowest, so the window is the two 8-level parameters'
+// 64 configurations. A last parameter of 300 levels, wider than a
+// prediction block, varies fastest in both orders and falls back to
+// predictBlock windows that cut its tiles. Every sweep returns the
+// specification's answer at workers 1–3, screens, and repeats Scored
 // exactly.
 func TestTopMScreenWindows(t *testing.T) {
 	values := make([]int, 300)
@@ -439,17 +449,23 @@ func TestTopMScreenWindows(t *testing.T) {
 		values[i] = i + 1
 	}
 	for _, tc := range []struct {
-		name   string
-		bools  int
-		last   tuning.Param
-		window int64
+		name     string
+		bools    int
+		last     tuning.Param
+		declared bool // walk the declaration order, not the rule's
+		window   int64
 	}{
-		{"arity5", 5, tuning.NewParam("unroll", 1, 2, 4, 8, 16), 160},
-		{"arity300", 1, tuning.NewParam("wide", values...), predictBlock},
+		{"arity5", 5, tuning.NewParam("unroll", 1, 2, 4, 8, 16), false, 64},
+		{"arity5-declared", 5, tuning.NewParam("unroll", 1, 2, 4, 8, 16), true, 160},
+		{"arity300", 1, tuning.NewParam("wide", values...), false, predictBlock},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := windowTestModel(t, tc.bools, tc.last)
-			if got := m.screenWindow(); got != tc.window {
+			if tc.declared {
+				m = inOrder(m, identityPerm(len(m.space.Params())))
+			}
+			_, order := m.screen.sweeper(m)
+			if got := screenWindow(order.Arity()); got != tc.window {
 				t.Fatalf("screen window %d, want %d", got, tc.window)
 			}
 			const M = 50
