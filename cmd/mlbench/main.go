@@ -214,11 +214,11 @@ func main() {
 			Retries:     r.retries,
 			AchievedQPS: float64(r.requests) / elapsed.Seconds(),
 			Latency: LatencySummary{
-				P50:  r.hist.quantile(0.50),
-				P95:  r.hist.quantile(0.95),
-				P99:  r.hist.quantile(0.99),
-				Max:  r.hist.max,
-				Mean: r.hist.sum / float64(r.hist.total),
+				P50:  r.quantile(0.50),
+				P95:  r.quantile(0.95),
+				P99:  r.quantile(0.99),
+				Max:  r.max,
+				Mean: r.hist.Sum() / float64(r.hist.Count()),
 			},
 		}
 	}
@@ -301,7 +301,21 @@ type epResult struct {
 	// retried attempt still counts in requests and shed, so the
 	// ok+shed+errors == requests invariant is unchanged.
 	retries uint64
-	hist    *latHist
+	// hist digests the latencies (seconds); max is the largest, which
+	// the report gives exactly and which clamps the quantiles.
+	hist telemetry.Histogram
+	max  float64
+}
+
+func (r *epResult) observe(lat float64) {
+	r.hist.Observe(lat)
+	r.max = max(r.max, lat)
+}
+
+// quantile is the histogram's quantile clamped to the observed maximum,
+// so p99 never exceeds max on sparse data and an overflow reads as max.
+func (r *epResult) quantile(q float64) float64 {
+	return min(r.hist.Quantile(q), r.max)
 }
 
 // probeInfo is what probe learns about the daemon before load starts.
@@ -502,7 +516,7 @@ func (b *bench) run(workers int, qps float64, d time.Duration, seed int64) ([num
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			var res [numEndpoints]*epResult
 			for ep := range res {
-				res[ep] = &epResult{hist: newLatHist()}
+				res[ep] = &epResult{}
 			}
 			perWorker[w] = res
 			// retryEp pins the next iteration to the endpoint a 429 shed,
@@ -528,7 +542,7 @@ func (b *bench) run(workers int, qps float64, d time.Duration, seed int64) ([num
 				lat := time.Since(t0).Seconds()
 				r := res[ep]
 				r.requests++
-				r.hist.observe(lat)
+				r.observe(lat)
 				switch {
 				case code == http.StatusOK:
 					r.ok++
@@ -559,7 +573,7 @@ func (b *bench) run(workers int, qps float64, d time.Duration, seed int64) ([num
 	elapsed := time.Since(start)
 	var merged [numEndpoints]*epResult
 	for ep := range merged {
-		merged[ep] = &epResult{hist: newLatHist()}
+		merged[ep] = &epResult{}
 	}
 	for _, res := range perWorker {
 		for ep, r := range res {
@@ -568,7 +582,8 @@ func (b *bench) run(workers int, qps float64, d time.Duration, seed int64) ([num
 			merged[ep].shed += r.shed
 			merged[ep].errors += r.errors
 			merged[ep].retries += r.retries
-			merged[ep].hist.merge(r.hist)
+			merged[ep].hist.Merge(&r.hist)
+			merged[ep].max = max(merged[ep].max, r.max)
 		}
 	}
 	return merged, elapsed

@@ -2,7 +2,11 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+
+	"repro/internal/ann"
 )
 
 // SchemaVersion identifies the BENCH_serve.json layout. Consumers (CI,
@@ -99,8 +103,8 @@ func (r *Report) Validate() error {
 	// Engine and WeightFormat are additive fields; when present they must
 	// still be plausible (a known engine name, a positive persistence
 	// version), so a mangled report cannot hide behind "optional".
-	if e := r.Run.Engine; e != "" && e != "float64" && e != "int16" && e != "int8" {
-		return fmt.Errorf("run.engine %q is not a known engine (float64, int16, int8)", e)
+	if e := r.Run.Engine; e != "" && !slices.Contains(ann.EngineNames(), e) {
+		return fmt.Errorf("run.engine %q is not a known engine (%s)", e, strings.Join(ann.EngineNames(), ", "))
 	}
 	if r.Run.WeightFormat < 0 {
 		return fmt.Errorf("run.weight_format %d is negative", r.Run.WeightFormat)

@@ -21,8 +21,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.NumWeights(); got != (3+1)*5+(5+1)*1 {
-		t.Errorf("NumWeights = %d", got)
+	if len(n.weights) != 2 || len(n.weights[0]) != (3+1)*5 || len(n.weights[1]) != (5+1)*1 {
+		t.Errorf("weight layout %d layers, want (3+1)*5 and (5+1)*1 weights", len(n.weights))
 	}
 }
 
@@ -225,19 +225,6 @@ func TestClone(t *testing.T) {
 	c.weights[0][0] += 1
 	if n.Predict(x, n.NewScratch()) == c.Predict(x, c.NewScratch()) {
 		t.Error("mutating clone affected original")
-	}
-}
-
-func TestMSE(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := MustNew(rng, []int{1, 2, 1}, Sigmoid, Linear)
-	if got := n.MSE(nil, nil); got != 0 {
-		t.Errorf("MSE of empty set = %g", got)
-	}
-	xs := [][]float64{{0.5}}
-	pred := n.Predict(xs[0], n.NewScratch())
-	if got := n.MSE(xs, []float64{pred + 2}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("MSE = %g, want 4", got)
 	}
 }
 

@@ -65,15 +65,6 @@ func MustNew(rng *rand.Rand, sizes []int, acts ...Activation) *Network {
 // Sizes returns the layer sizes.
 func (n *Network) Sizes() []int { return append([]int(nil), n.sizes...) }
 
-// NumWeights returns the total parameter count.
-func (n *Network) NumWeights() int {
-	total := 0
-	for _, w := range n.weights {
-		total += len(w)
-	}
-	return total
-}
-
 // Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
 	c := &Network{

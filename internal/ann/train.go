@@ -117,20 +117,6 @@ func (n *Network) Train(rng *rand.Rand, xs [][]float64, ys []float64, cfg TrainC
 	return result, nil
 }
 
-// MSE returns the mean squared error of the network over the samples.
-func (n *Network) MSE(xs [][]float64, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := n.NewScratch()
-	var sum float64
-	for i, x := range xs {
-		d := n.Predict(x, s) - ys[i]
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
 // trainBlock holds Train's buffers for one mini-batch of up to capacity
 // samples, laid out sample-major like BatchScratch.
 type trainBlock struct {

@@ -129,8 +129,8 @@ func TestGoldenV1ModelBitIdentical(t *testing.T) {
 	if model.Portable() {
 		t.Fatal("v1 model decoded as portable")
 	}
-	if got, want := model.Schema().Dim(), model.Schema().ParamDim(); got != want {
-		t.Fatalf("v1 schema dim %d, param dim %d", got, want)
+	if got := model.Schema().TailDim(); got != 0 {
+		t.Fatalf("v1 schema has a %d-wide tail after its parameter block, want none", got)
 	}
 
 	var preds []goldenPrediction

@@ -16,9 +16,6 @@ type Device struct {
 // Name returns the device name.
 func (d *Device) Name() string { return d.sim.Name() }
 
-// IsGPU reports whether the device is GPU-like.
-func (d *Device) IsGPU() bool { return d.sim.Kind() == devsim.GPU }
-
 // MaxWorkGroupSize returns CL_DEVICE_MAX_WORK_GROUP_SIZE.
 func (d *Device) MaxWorkGroupSize() int { return d.sim.Descriptor().MaxWorkGroupSize }
 
@@ -30,9 +27,6 @@ func (d *Device) LocalMemSize() int {
 
 // ImageSupport returns CL_DEVICE_IMAGE_SUPPORT.
 func (d *Device) ImageSupport() bool { return d.sim.Descriptor().ImageSupport }
-
-// ComputeUnits returns CL_DEVICE_MAX_COMPUTE_UNITS.
-func (d *Device) ComputeUnits() int { return d.sim.Descriptor().ComputeUnits }
 
 // Sim exposes the underlying performance model (used by the measurement
 // layer for cost accounting; host code written against the OpenCL-style
@@ -52,9 +46,6 @@ func (d *Device) NewContext() *Context {
 type Context struct {
 	device *Device
 }
-
-// Device returns the context's device.
-func (c *Context) Device() *Device { return c.device }
 
 // NewQueue creates an in-order command queue with profiling enabled,
 // mirroring clCreateCommandQueue(CL_QUEUE_PROFILING_ENABLE).

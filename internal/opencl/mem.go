@@ -91,17 +91,6 @@ func (im *Image3D) texel(x, y, z int) float32 {
 	return im.data[(z*im.h+y)*im.w+x]
 }
 
-// Sampler selects the filtering mode for image reads; addressing is
-// always clamp-to-edge (the only mode the benchmarks use).
-type Sampler int
-
-const (
-	// Nearest returns the closest texel.
-	Nearest Sampler = iota
-	// Linear performs bi-/tri-linear interpolation.
-	Linear
-)
-
 // MemError reports an invalid memory-object operation.
 type MemError struct{ Reason string }
 

@@ -31,15 +31,11 @@ import (
 // Platform groups the devices of one vendor, mirroring clGetPlatformIDs.
 type Platform struct {
 	name    string
-	vendor  string
 	devices []*Device
 }
 
 // Name returns the platform name.
 func (p *Platform) Name() string { return p.name }
-
-// Vendor returns the platform vendor.
-func (p *Platform) Vendor() string { return p.vendor }
 
 // Devices returns the platform's devices.
 func (p *Platform) Devices() []*Device { return append([]*Device(nil), p.devices...) }
@@ -53,7 +49,7 @@ func Platforms() []*Platform {
 		desc := sim.Descriptor()
 		p, ok := byVendor[desc.Vendor]
 		if !ok {
-			p = &Platform{name: desc.Vendor + " OpenCL (simulated)", vendor: desc.Vendor}
+			p = &Platform{name: desc.Vendor + " OpenCL (simulated)"}
 			byVendor[desc.Vendor] = p
 		}
 		p.devices = append(p.devices, &Device{sim: sim})

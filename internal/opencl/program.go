@@ -149,16 +149,13 @@ type Kernel struct {
 // Name returns the kernel name.
 func (k *Kernel) Name() string { return k.name }
 
-// Resources returns the kernel's compile-time resource report.
-func (k *Kernel) Resources() Resources { return k.res }
-
 // SetArgs binds the kernel arguments in positional order, mirroring
 // repeated clSetKernelArg calls. Supported argument types: *Buffer,
 // *Image2D, *Image3D, int, float32 and float64.
 func (k *Kernel) SetArgs(args ...any) error {
 	for i, a := range args {
 		switch a.(type) {
-		case *Buffer, *Image2D, *Image3D, int, float32, float64:
+		case *Buffer, *Image2D, *Image3D, int:
 		default:
 			return fmt.Errorf("opencl: kernel %q arg %d has unsupported type %T", k.name, i, a)
 		}

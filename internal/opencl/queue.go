@@ -92,11 +92,8 @@ func (q *Queue) EnqueueNDRange(k *Kernel, globalX, globalY, localX, localY int) 
 						go func(lx, ly int) {
 							defer itemWg.Done()
 							wi := &WorkItem{
-								gidX: g.gx*localX + lx, gidY: g.gy*localY + ly,
 								lidX: lx, lidY: ly,
 								grpX: g.gx, grpY: g.gy,
-								lszX: localX, lszY: localY,
-								gszX: globalX, gszY: globalY,
 								group:  grp,
 								kernel: k,
 							}

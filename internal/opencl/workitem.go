@@ -2,7 +2,6 @@ package opencl
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -106,22 +105,13 @@ func (c *counters) add(o *counters) {
 // barriers and local-memory allocation — the parts of the OpenCL C
 // built-in library the benchmarks need.
 type WorkItem struct {
-	gidX, gidY   int
 	lidX, lidY   int
 	grpX, grpY   int
-	lszX, lszY   int
-	gszX, gszY   int
 	group        *workGroup
 	kernel       *Kernel
 	c            counters
 	barrierCount int
 }
-
-// GlobalIDX returns get_global_id(0).
-func (wi *WorkItem) GlobalIDX() int { return wi.gidX }
-
-// GlobalIDY returns get_global_id(1).
-func (wi *WorkItem) GlobalIDY() int { return wi.gidY }
 
 // LocalIDX returns get_local_id(0).
 func (wi *WorkItem) LocalIDX() int { return wi.lidX }
@@ -134,18 +124,6 @@ func (wi *WorkItem) GroupIDX() int { return wi.grpX }
 
 // GroupIDY returns get_group_id(1).
 func (wi *WorkItem) GroupIDY() int { return wi.grpY }
-
-// LocalSizeX returns get_local_size(0).
-func (wi *WorkItem) LocalSizeX() int { return wi.lszX }
-
-// LocalSizeY returns get_local_size(1).
-func (wi *WorkItem) LocalSizeY() int { return wi.lszY }
-
-// GlobalSizeX returns get_global_size(0).
-func (wi *WorkItem) GlobalSizeX() int { return wi.gszX }
-
-// GlobalSizeY returns get_global_size(1).
-func (wi *WorkItem) GlobalSizeY() int { return wi.gszY }
 
 // Barrier synchronizes all work-items of the group.
 func (wi *WorkItem) Barrier() {
@@ -179,18 +157,6 @@ func (wi *WorkItem) ArgImage3D(i int) *Image3D { return wi.arg(i).(*Image3D) }
 
 // ArgInt returns argument i as an int.
 func (wi *WorkItem) ArgInt(i int) int { return wi.arg(i).(int) }
-
-// ArgFloat returns argument i as a float32 (accepting float64 literals).
-func (wi *WorkItem) ArgFloat(i int) float32 {
-	switch v := wi.arg(i).(type) {
-	case float32:
-		return v
-	case float64:
-		return float32(v)
-	default:
-		panic(fmt.Sprintf("opencl: kernel %q argument %d is %T, not float", wi.kernel.name, i, v))
-	}
-}
 
 // --- instrumented operations --------------------------------------------
 
@@ -238,49 +204,9 @@ func (wi *WorkItem) ReadImage2D(im *Image2D, x, y int) float32 {
 	return im.texel(x, y)
 }
 
-// SampleImage2D samples a 2D image at floating-point texel coordinates
-// with the given filter and clamp-to-edge addressing. Following the
-// OpenCL convention, the texel centre sits at +0.5.
-func (wi *WorkItem) SampleImage2D(im *Image2D, s Sampler, x, y float32) float32 {
-	wi.c.imageReads++
-	if s == Nearest {
-		return im.texel(int(math.Floor(float64(x))), int(math.Floor(float64(y))))
-	}
-	fx, fy := float64(x)-0.5, float64(y)-0.5
-	x0, y0 := int(math.Floor(fx)), int(math.Floor(fy))
-	ax, ay := float32(fx-float64(x0)), float32(fy-float64(y0))
-	v00 := im.texel(x0, y0)
-	v10 := im.texel(x0+1, y0)
-	v01 := im.texel(x0, y0+1)
-	v11 := im.texel(x0+1, y0+1)
-	return lerp(lerp(v00, v10, ax), lerp(v01, v11, ax), ay)
-}
-
 // ReadImage3D samples a 3D image at integer coordinates (nearest,
 // clamp-to-edge).
 func (wi *WorkItem) ReadImage3D(im *Image3D, x, y, z int) float32 {
 	wi.c.imageReads++
 	return im.texel(x, y, z)
 }
-
-// SampleImage3D samples a 3D image at floating-point texel coordinates
-// with the given filter and clamp-to-edge addressing.
-func (wi *WorkItem) SampleImage3D(im *Image3D, s Sampler, x, y, z float32) float32 {
-	wi.c.imageReads++
-	if s == Nearest {
-		return im.texel(
-			int(math.Floor(float64(x))),
-			int(math.Floor(float64(y))),
-			int(math.Floor(float64(z))))
-	}
-	fx, fy, fz := float64(x)-0.5, float64(y)-0.5, float64(z)-0.5
-	x0, y0, z0 := int(math.Floor(fx)), int(math.Floor(fy)), int(math.Floor(fz))
-	ax, ay, az := float32(fx-float64(x0)), float32(fy-float64(y0)), float32(fz-float64(z0))
-	c00 := lerp(im.texel(x0, y0, z0), im.texel(x0+1, y0, z0), ax)
-	c10 := lerp(im.texel(x0, y0+1, z0), im.texel(x0+1, y0+1, z0), ax)
-	c01 := lerp(im.texel(x0, y0, z0+1), im.texel(x0+1, y0, z0+1), ax)
-	c11 := lerp(im.texel(x0, y0+1, z0+1), im.texel(x0+1, y0+1, z0+1), ax)
-	return lerp(lerp(c00, c10, ay), lerp(c01, c11, ay), az)
-}
-
-func lerp(a, b, t float32) float32 { return a + (b-a)*t }

@@ -217,7 +217,7 @@ func newServerMetrics() *serverMetrics {
 	m.responses = reg.CounterVec("mltuned_http_responses_total",
 		"HTTP responses, by route and status class (2xx..5xx).", "route", "class")
 	m.latency = reg.HistogramVec("mltuned_http_request_duration_seconds",
-		"Request latency by route, shed requests included.", nil, "route")
+		"Request latency by route, shed requests included.", "route")
 	m.shed = reg.CounterVec("mltuned_shed_total",
 		"Read-path requests shed with 429 because -max-inflight was saturated.", "route")
 	m.readInflight = reg.Gauge("mltuned_read_inflight",
@@ -233,8 +233,7 @@ func newServerMetrics() *serverMetrics {
 		completed: reg.CounterVec("mltuned_jobs_completed_total",
 			"Jobs that reached a terminal state, by kind and state.", "kind", "state"),
 		duration: reg.HistogramVec("mltuned_job_duration_seconds",
-			"Wall-clock job duration by kind, from worker pickup to terminal state.",
-			[]float64{0.1, 0.5, 1, 5, 15, 60, 300, 1800}, "kind"),
+			"Wall-clock job duration by kind, from worker pickup to terminal state.", "kind"),
 	}
 
 	m.modelLoads = reg.Counter("mltuned_model_loads_total",
@@ -272,14 +271,12 @@ func newServerMetrics() *serverMetrics {
 	}
 
 	m.swapDuration = reg.Histogram("mltuned_model_swap_duration_seconds",
-		"Model swap latency, from registry persist/install start to the slot swap.",
-		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1})
+		"Model swap latency, from registry persist/install start to the slot swap.")
 
 	m.trainSamplesUsed = reg.Counter("mltuned_train_samples_used_total",
 		"Valid samples consumed by training jobs.")
 	m.trainMemberDuration = reg.Histogram("mltuned_train_member_duration_seconds",
-		"Per-ensemble-member training duration, as observed between progress events.",
-		[]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60})
+		"Per-ensemble-member training duration, as observed between progress events.")
 	return m
 }
 

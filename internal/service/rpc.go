@@ -59,7 +59,7 @@ func newRPCMetrics(reg *telemetry.Registry) *rpcMetrics {
 	requests := reg.CounterVec("mltuned_rpc_requests_total",
 		"RPC requests handled, by method.", "method")
 	latency := reg.HistogramVec("mltuned_rpc_request_duration_seconds",
-		"RPC request latency by method, shed requests included.", nil, "method")
+		"RPC request latency by method, shed requests included.", "method")
 	m.responses = reg.CounterVec("mltuned_rpc_responses_total",
 		"RPC responses, by method and status (ok or the error kind).", "method", "status")
 	shed := reg.CounterVec("mltuned_rpc_shed_total",

@@ -45,22 +45,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// GeoMean returns the geometric mean of xs. All elements must be positive;
-// non-positive elements are ignored. Returns 0 if no positive elements.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Min returns the smallest element of xs and its index, or (+Inf, -1) for
 // empty input.
 func Min(xs []float64) (float64, int) {
@@ -195,35 +179,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// Summary bundles the descriptive statistics reported in experiment output.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if len(xs) == 0 {
-		mn, mx = 0, 0
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		P25:    Percentile(xs, 25),
-		Median: Median(xs),
-		P75:    Percentile(xs, 75),
-		Max:    mx,
-	}
 }

@@ -42,19 +42,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almostEqual(got, 10, 1e-9) {
-		t.Errorf("GeoMean(1,100) = %g, want 10", got)
-	}
-	// Non-positive entries are ignored.
-	if got := GeoMean([]float64{-5, 0, 4, 9}); !almostEqual(got, 6, 1e-9) {
-		t.Errorf("GeoMean(-5,0,4,9) = %g, want 6", got)
-	}
-	if got := GeoMean([]float64{-1}); got != 0 {
-		t.Errorf("GeoMean of all non-positive = %g, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if v, i := Min(xs); v != 1 || i != 1 {
@@ -158,17 +145,6 @@ func TestRanksTies(t *testing.T) {
 		if !almostEqual(got[i], want[i], 1e-12) {
 			t.Fatalf("Ranks = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	z := Summarize(nil)
-	if z.N != 0 || z.Mean != 0 || z.Min != 0 || z.Max != 0 {
-		t.Errorf("Summarize(nil) = %+v", z)
 	}
 }
 

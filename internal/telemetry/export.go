@@ -16,8 +16,8 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders every registered family in Prometheus text
 // exposition format (version 0.0.4): one HELP/TYPE header per family,
-// one sample line per child (per bucket for histograms, cumulative,
-// with the canonical _bucket/_sum/_count series).
+// one sample line per child (per exported octave bucket for histograms,
+// cumulative, with the canonical _bucket/_sum/_count series).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range r.snapshotFamilies() {
@@ -41,14 +41,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, "", f.labelNames, c.labelValues, "", "", strconv.FormatInt(c.gauge.Value(), 10))
 			case KindHistogram:
 				h := c.hist
-				cum := uint64(0)
-				for i := range h.counts {
-					cum += h.counts[i].Load()
-					le := "+Inf"
-					if i < len(h.bounds) {
-						le = formatFloat(h.bounds[i])
-					}
-					writeSample(bw, f.name, "_bucket", f.labelNames, c.labelValues, "le", le, formatUint(cum))
+				for i, cum := range h.cumulative() {
+					writeSample(bw, f.name, "_bucket", f.labelNames, c.labelValues, "le", exportLE[i], formatUint(cum))
 				}
 				writeSample(bw, f.name, "_sum", f.labelNames, c.labelValues, "", "", formatFloat(h.Sum()))
 				writeSample(bw, f.name, "_count", f.labelNames, c.labelValues, "", "", formatUint(h.Count()))
@@ -136,8 +130,8 @@ type ValueSnapshot struct {
 	Buckets []BucketSnapshot  `json:"buckets,omitempty"`
 }
 
-// BucketSnapshot is one cumulative histogram bucket; LE is "+Inf" on
-// the last one.
+// BucketSnapshot is one cumulative histogram bucket at an exported
+// octave bound; LE is "+Inf" on the last one.
 type BucketSnapshot struct {
 	LE    string `json:"le"`
 	Count uint64 `json:"count"`
@@ -168,15 +162,9 @@ func (r *Registry) Snapshot() Snapshot {
 				h := c.hist
 				vs.Count = h.Count()
 				vs.Sum = h.Sum()
-				cum := uint64(0)
-				vs.Buckets = make([]BucketSnapshot, 0, len(h.counts))
-				for i := range h.counts {
-					cum += h.counts[i].Load()
-					le := "+Inf"
-					if i < len(h.bounds) {
-						le = formatFloat(h.bounds[i])
-					}
-					vs.Buckets = append(vs.Buckets, BucketSnapshot{LE: le, Count: cum})
+				vs.Buckets = make([]BucketSnapshot, len(exportLE))
+				for i, cum := range h.cumulative() {
+					vs.Buckets[i] = BucketSnapshot{LE: exportLE[i], Count: cum}
 				}
 			}
 			ms.Values = append(ms.Values, vs)

@@ -1,5 +1,5 @@
 // Package telemetry is mltuned's zero-dependency metrics subsystem:
-// counters, gauges, and fixed-bucket latency histograms with a
+// counters, gauges, and log-bucket latency histograms with a
 // lock-free atomic hot path, collected in a Registry that renders both
 // Prometheus text exposition format (GET /metrics) and a JSON snapshot
 // (GET /v1/stats).
@@ -22,7 +22,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -105,36 +104,64 @@ func (g *Gauge) Add(n int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket distribution: observation counts per
-// upper bound plus a total count and sum. Observe is lock-free: one
-// atomic add into the right bucket, one into the count, and a CAS loop
-// folding the value into the float64 sum. A nil *Histogram discards
-// observations.
+// Histogram is a latency distribution over one fixed log-spaced
+// layout shared by every histogram: bucket i's upper bound is
+// 1µs·2^(i/4), for i = 0..124, so the last finite bound is 2^31 µs
+// (about 36 minutes), plus an overflow (+Inf) bucket. Bounds are
+// inclusive (v <= le). A value above 1µs lands in a bucket whose bound
+// is less than 2^(1/4) times the value, so Quantile is at most
+// 2^(1/4)−1 ≈ 19% above the exact quantile.
+//
+// Observe is lock-free: one atomic add into the value's bucket, one
+// into the count, and a CAS loop folding the value into the float64
+// sum. The zero value is ready to use, so a Histogram need not belong
+// to a Registry (mlbench keeps one per worker and merges them). A nil
+// *Histogram discards observations.
 type Histogram struct {
-	bounds  []float64 // sorted upper bounds; the +Inf bucket is implicit
-	counts  []atomic.Uint64
+	counts  [numBounds + 1]atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
-// DefLatencyBuckets are the default request-latency upper bounds in
-// seconds: 100µs to ~10s, roughly ×2.5 per step — wide enough for a
-// cache-hit predict (µs) and a cold full-space top-M sweep (seconds)
-// to land in distinct buckets.
-func DefLatencyBuckets() []float64 {
-	return []float64{
-		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-	}
-}
+const (
+	// bucketsPerOctave is the layout's resolution: each bound is
+	// 2^(1/bucketsPerOctave) times the one before.
+	bucketsPerOctave = 4
+	// numOctaves is how many doublings the finite bounds span above
+	// the first, 1µs.
+	numOctaves = 31
+	numBounds  = numOctaves*bucketsPerOctave + 1
+)
 
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefLatencyBuckets()
+// bounds are the finite upper bounds in seconds. Every bucketsPerOctave-th
+// one is exactly 1e-6 scaled by a power of two, so the exported octave
+// bounds print as 1e-06, 2e-06, 4e-06, ….
+var bounds = func() (b [numBounds]float64) {
+	for i := range b {
+		step := math.Pow(2, float64(i%bucketsPerOctave)/bucketsPerOctave)
+		b[i] = math.Ldexp(1e-6*step, i/bucketsPerOctave)
 	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+	return b
+}()
+
+// bucket returns the index of the first bound >= v, or numBounds for
+// the overflow bucket. The binary exponent of v in microseconds names
+// its octave; the walk then settles on the exact bound in at most a
+// few steps, so no floating-point rounding in that guess can misplace v.
+func bucket(v float64) int {
+	if !(v > bounds[0]) { // also NaN
+		return 0
+	}
+	if v > bounds[numBounds-1] {
+		return numBounds
+	}
+	// v·1e6 >= 1, so its exponent field is an ordinary biased exponent.
+	exp := int(math.Float64bits(v*1e6)>>52) - 1023
+	i := max(bucketsPerOctave*exp-1, 0)
+	for v > bounds[i] {
+		i++
+	}
+	return i
 }
 
 // Observe records one value.
@@ -142,15 +169,12 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// Linear scan: bucket counts are small (≤ ~20) and the scan touches
-	// one cache line of bounds, which beats a branchy binary search at
-	// this size — and allocates nothing either way.
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
+	h.counts[bucket(v)].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
@@ -160,11 +184,66 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// Merge adds o's observations into h. It is safe to call while either
+// histogram is being observed; the result then includes some of the
+// concurrent observations of o.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.counts {
+		h.counts[i].Add(o.counts[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.addSum(o.Sum())
+}
+
+// Quantile returns the upper bound of the bucket holding the q-th
+// observation (0 < q <= 1): +Inf if that is the overflow bucket, and 0
+// when the histogram is empty.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.Count()
+	if total == 0 {
+		return 0
+	}
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
+	cum := uint64(0)
+	for i := range bounds {
+		cum += h.counts[i].Load()
+		if cum >= rank {
+			return bounds[i]
+		}
+	}
+	return math.Inf(1)
+}
+
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+
+// exportLE are the `le` labels that exposition and snapshots carry: the
+// octave bounds 1µs, 2µs, …, 2^31 µs and +Inf. The fine bounds between
+// them are counted but not exported, which keeps a series at 33 bucket
+// lines instead of 126; the cumulative count at each octave is exact.
+var exportLE = func() (le [numOctaves + 2]string) {
+	for k := 0; k <= numOctaves; k++ {
+		le[k] = formatFloat(bounds[k*bucketsPerOctave])
+	}
+	le[numOctaves+1] = "+Inf"
+	return le
+}()
+
+// cumulative returns the cumulative count at each exportLE bound.
+func (h *Histogram) cumulative() (cum [len(exportLE)]uint64) {
+	var run uint64
+	for i := range h.counts {
+		run += h.counts[i].Load()
+		if i%bucketsPerOctave == 0 {
+			cum[i/bucketsPerOctave] = run
+		}
+	}
+	cum[len(cum)-1] = run
+	return cum
+}
 
 // --- labelled families ------------------------------------------------
 
@@ -207,7 +286,6 @@ type family struct {
 	help       string
 	kind       Kind
 	labelNames []string
-	buckets    []float64 // histogram families only
 
 	mu       sync.Mutex
 	children map[string]*child
@@ -231,7 +309,7 @@ func (f *family) child(values []string) *child {
 	case KindGauge:
 		c.gauge = &Gauge{}
 	case KindHistogram:
-		c.hist = newHistogram(f.buckets)
+		c.hist = &Histogram{}
 	}
 	f.children[key] = c
 	f.order = append(f.order, c)
@@ -303,18 +381,16 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.child(nil).gauge
 }
 
-// Histogram registers and returns an unlabelled histogram (nil buckets
-// = DefLatencyBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := &family{name: name, help: help, kind: KindHistogram, buckets: buckets}
+// Histogram registers and returns an unlabelled histogram.
+func (r *Registry) Histogram(name, help string) *Histogram {
+	f := &family{name: name, help: help, kind: KindHistogram}
 	r.register(f)
 	return f.child(nil).hist
 }
 
-// HistogramVec registers a histogram family with the given label names
-// (nil buckets = DefLatencyBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	f := &family{name: name, help: help, kind: KindHistogram, buckets: buckets, labelNames: labels}
+// HistogramVec registers a histogram family with the given label names.
+func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
+	f := &family{name: name, help: help, kind: KindHistogram, labelNames: labels}
 	r.register(f)
 	return &HistogramVec{f}
 }

@@ -64,9 +64,6 @@ func (s *FeatureSchema) Space() *Space { return s.enc.space }
 // Dim returns the total feature-vector length across all blocks.
 func (s *FeatureSchema) Dim() int { return s.enc.Dim() + s.TailDim() }
 
-// ParamDim returns the parameter block's width (one per parameter).
-func (s *FeatureSchema) ParamDim() int { return s.enc.Dim() }
-
 // TailDim returns the width of the tail after the parameter block (the
 // device block).
 func (s *FeatureSchema) TailDim() int { return len(s.deviceFields) }
